@@ -101,9 +101,13 @@ def _max_n_from_env() -> int:
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ValueError(f"HODGE_MAX_N must be an integer, got {raw!r}") from None
+        value = -1
+    if value < 0:
+        raise ValueError(
+            f"HODGE_MAX_N must be a nonnegative integer, got {raw!r}")
+    return value
 
 
 def _cmd_hilb(args: argparse.Namespace) -> int:

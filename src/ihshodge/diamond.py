@@ -64,17 +64,22 @@ class ConsistencyError(RuntimeError):
     """
 
 
+def _is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validated_entries(entries: Mapping[Bidegree, int],
                        dim: int | None) -> dict[Bidegree, int]:
     table: dict[Bidegree, int] = {}
     for key, value in entries.items():
         if (not isinstance(key, tuple) or len(key) != 2
-                or not all(isinstance(c, int) for c in key)):
+                or not all(_is_int(c) for c in key)):
             raise ValueError(f"bidegree keys must be integer pairs, got {key!r}")
         p, q = key
         if p < 0 or q < 0:
             raise ValueError(f"negative bidegree ({p},{q})")
-        if not isinstance(value, int):
+        if not _is_int(value):
             raise ValueError(f"dimension at ({p},{q}) must be an integer, got {value!r}")
         if value < 0:
             raise ValueError(f"negative dimension {value} at ({p},{q})")
@@ -110,7 +115,7 @@ class HodgeDiamond:
     def __init__(self, entries: Mapping[Bidegree, int] = (),
                  complex_dimension: int | None = None):
         if complex_dimension is not None:
-            if not isinstance(complex_dimension, int) or complex_dimension < 0:
+            if not _is_int(complex_dimension) or complex_dimension < 0:
                 raise ValueError(
                     f"complex dimension must be a nonnegative integer, "
                     f"got {complex_dimension!r}")
@@ -119,6 +124,20 @@ class HodgeDiamond:
         object.__setattr__(self, "_dim", complex_dimension)
         object.__setattr__(self, "_entries",
                            _validated_entries(entries, complex_dimension))
+
+    @classmethod
+    def _trusted(cls, table: Mapping[Bidegree, int],
+                 complex_dimension: int | None = None) -> "HodgeDiamond":
+        """Wrap a table computed from validated diamonds, skipping validation.
+
+        Zero entries are still dropped and the order is still sorted, so
+        the result compares equal to its validated counterpart.
+        """
+        d = object.__new__(cls)
+        object.__setattr__(d, "_dim", complex_dimension)
+        object.__setattr__(d, "_entries",
+                           {key: v for key, v in sorted(table.items()) if v})
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("HodgeDiamond is immutable")
@@ -323,7 +342,17 @@ def direct_sum(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     table = a.entries
     for p, q, value in b.items():
         table[(p, q)] = table.get((p, q), 0) + value
-    return HodgeDiamond(table)
+    return HodgeDiamond._trusted(table)
+
+
+def _convolve(a: Mapping[Bidegree, int], b: Mapping[Bidegree, int],
+              out: dict[Bidegree, int]) -> dict[Bidegree, int]:
+    """Add the bigraded convolution of two raw tables into ``out``."""
+    for (p1, q1), v1 in a.items():
+        for (p2, q2), v2 in b.items():
+            key = (p1 + p2, q1 + q2)
+            out[key] = out.get(key, 0) + v1 * v2
+    return out
 
 
 def tensor(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
@@ -334,12 +363,7 @@ def tensor(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     >>> sorted(t.entries.items())
     [((1, 3), 3), ((2, 1), 2)]
     """
-    table: dict[Bidegree, int] = {}
-    for p1, q1, v1 in a.items():
-        for p2, q2, v2 in b.items():
-            key = (p1 + p2, q1 + q2)
-            table[key] = table.get(key, 0) + v1 * v2
-    return HodgeDiamond(table)
+    return HodgeDiamond._trusted(_convolve(a._entries, b._entries, {}))
 
 
 def tate_twist(d: HodgeDiamond, k: int) -> HodgeDiamond:
@@ -347,20 +371,14 @@ def tate_twist(d: HodgeDiamond, k: int) -> HodgeDiamond:
 
     ``k`` may be negative as long as all shifted indices stay >= 0.
     """
+    if not _is_int(k):
+        raise ValueError(f"twist must be an integer, got {k!r}")
     table: dict[Bidegree, int] = {}
     for p, q, value in d.items():
         if p + k < 0 or q + k < 0:
             raise ValueError(f"twist by {k} pushes ({p},{q}) out of range")
         table[(p + k, q + k)] = value
-    return HodgeDiamond(table)
-
-
-def _require_even_support(d: HodgeDiamond, op: str) -> None:
-    for p, q, _ in d.items():
-        if (p + q) % 2:
-            raise ValueError(
-                f"{op} needs even total degrees only; found an entry at "
-                f"({p},{q})")
+    return HodgeDiamond._trusted(table)
 
 
 def _sym_dim(m: int, j: int) -> int:
@@ -375,16 +393,24 @@ def _ext_dim(m: int, j: int) -> int:
     return math.comb(m, j)
 
 
-def _graded_power(entries: dict[Bidegree, int], k: int, block) -> dict[Bidegree, int]:
-    """Distribute a power k over the graded pieces of a table.
+def _graded_powers(d: HodgeDiamond, k: int, block,
+                   op: str) -> list[dict[Bidegree, int]]:
+    """The raw tables of the j-th power of ``d`` for every j = 0 .. k.
 
     ``block(m, j)`` is the dimension of the j-th power functor applied to
     a single m-dimensional piece; the cross terms between pieces are
-    plain tensor products.
+    plain tensor products.  Tables with odd total degrees are rejected.
     """
+    if not _is_int(k) or k < 0:
+        raise ValueError("power index must be a nonnegative integer")
+    for p, q, _ in d.items():
+        if (p + q) % 2:
+            raise ValueError(
+                f"{op} needs even total degrees only; found an entry at "
+                f"({p},{q})")
     acc: list[dict[Bidegree, int]] = [{} for _ in range(k + 1)]
     acc[0][(0, 0)] = 1
-    for (p, q), m in sorted(entries.items()):
+    for (p, q), m in d._entries.items():
         nxt = [dict(t) for t in acc]
         for j in range(1, k + 1):
             bd = block(m, j)
@@ -396,7 +422,7 @@ def _graded_power(entries: dict[Bidegree, int], k: int, block) -> dict[Bidegree,
                     tgt = nxt[used + j]
                     tgt[key] = tgt.get(key, 0) + av * bd
         acc = nxt
-    return acc[k]
+    return acc
 
 
 def sym_power(d: HodgeDiamond, k: int) -> HodgeDiamond:
@@ -409,18 +435,12 @@ def sym_power(d: HodgeDiamond, k: int) -> HodgeDiamond:
     >>> sym_power(H2, 2).h(2, 2)
     211
     """
-    if k < 0:
-        raise ValueError("power index must be nonnegative")
-    _require_even_support(d, "sym_power")
-    return HodgeDiamond(_graded_power(d.entries, k, _sym_dim))
+    return HodgeDiamond._trusted(_graded_powers(d, k, _sym_dim, "sym_power")[k])
 
 
 def ext_power(d: HodgeDiamond, k: int) -> HodgeDiamond:
     """k-th exterior power of a table supported in even total degree."""
-    if k < 0:
-        raise ValueError("power index must be nonnegative")
-    _require_even_support(d, "ext_power")
-    return HodgeDiamond(_graded_power(d.entries, k, _ext_dim))
+    return HodgeDiamond._trusted(_graded_powers(d, k, _ext_dim, "ext_power")[k])
 
 
 # ---------------------------------------------------------------------------

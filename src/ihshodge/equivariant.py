@@ -1,16 +1,19 @@
 """Z/2-equivariant refinement of Hodge-number tables.
 
-Every bidegree carries a pair (plus, minus): the dimensions of the +1
-and -1 eigenspaces of an involution acting on the bigraded vector space.
-Tensor products follow the sign rule
+An involution acting on a bigraded vector space V splits it into the +1
+and -1 eigenspaces V+ and V-, each an ordinary bigraded table.  Every
+operation here is the plain table algebra of :mod:`ihshodge.diamond`
+applied to the two eigenspaces.  Tensor products follow the sign rule
 
-    plus  * plus  -> plus
-    plus  * minus -> minus
-    minus * minus -> plus
+    (V (x) W)+ = V+ W+  +  V- W-
+    (V (x) W)- = V+ W-  +  V- W+
 
-and symmetric or exterior powers split accordingly: a product of basis
-vectors lands in the plus part exactly when it contains an even number
-of minus factors.  Forgetting the involution (adding the two eigenspace
+and symmetric or exterior powers split as
+
+    Sym^k(V+ + V-) = sum over i of Sym^i V+ (x) Sym^{k-i} V-
+
+where a summand is anti-invariant exactly when k - i is odd (likewise
+for Lambda^k).  Forgetting the involution (adding the two eigenspace
 dimensions) commutes with every operation here, which the test suite
 exploits as a cross-check against the plain table algebra.
 """
@@ -20,11 +23,19 @@ from __future__ import annotations
 import json
 from typing import Iterator, Mapping
 
-from .diamond import Bidegree, HodgeDiamond, _ext_dim, _sym_dim
+from .diamond import (
+    Bidegree,
+    HodgeDiamond,
+    _convolve,
+    _ext_dim,
+    _graded_powers,
+    _sym_dim,
+    direct_sum,
+    tate_twist,
+)
 
 __all__ = [
     "EquivariantDiamond",
-    "anti_invariant_part",
     "eq_ext_power",
     "eq_sum",
     "eq_sym_power",
@@ -32,98 +43,87 @@ __all__ = [
     "eq_tensor",
     "forget",
     "invariant_part",
-    "split_from_invariant",
 ]
 
 EigenPair = tuple[int, int]
 
 
-def _validated_pairs(entries: Mapping[Bidegree, EigenPair],
-                     dim: int | None) -> dict[Bidegree, EigenPair]:
-    table: dict[Bidegree, EigenPair] = {}
-    for key, pair in entries.items():
-        if (not isinstance(key, tuple) or len(key) != 2
-                or not all(isinstance(c, int) for c in key)):
-            raise ValueError(f"bidegree keys must be integer pairs, got {key!r}")
-        p, q = key
-        if p < 0 or q < 0:
-            raise ValueError(f"negative bidegree ({p},{q})")
-        if (not isinstance(pair, tuple) or len(pair) != 2
-                or not all(isinstance(c, int) for c in pair)):
-            raise ValueError(
-                f"eigenspace dimensions at ({p},{q}) must be an integer "
-                f"pair, got {pair!r}")
-        plus, minus = pair
-        if plus < 0 or minus < 0:
-            raise ValueError(
-                f"negative eigenspace dimension at ({p},{q}): {pair}")
-        if dim is not None and (p > dim or q > dim):
-            raise ValueError(
-                f"entry at ({p},{q}) lies outside the diamond of a {dim}-fold")
-        if plus or minus:
-            table[(p, q)] = (plus, minus)
-    return dict(sorted(table.items()))
-
-
 class EquivariantDiamond:
-    """Immutable table (p, q) -> (plus, minus) of eigenspace dimensions."""
+    """Immutable table (p, q) -> (plus, minus) of eigenspace dimensions.
 
-    __slots__ = ("_entries", "_dim")
+    Stored as the two eigenspace tables V+ and V-, both carrying the
+    optional complex dimension.
+    """
+
+    __slots__ = ("_plus", "_minus")
 
     def __init__(self, entries: Mapping[Bidegree, EigenPair] = (),
                  complex_dimension: int | None = None):
-        if complex_dimension is not None:
-            if not isinstance(complex_dimension, int) or complex_dimension < 0:
-                raise ValueError(
-                    f"complex dimension must be a nonnegative integer, "
-                    f"got {complex_dimension!r}")
         if not isinstance(entries, Mapping):
             entries = dict(entries)
-        object.__setattr__(self, "_dim", complex_dimension)
-        object.__setattr__(self, "_entries",
-                           _validated_pairs(entries, complex_dimension))
+        plus: dict = {}
+        minus: dict = {}
+        for key, pair in entries.items():
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValueError(
+                    f"eigenspace dimensions at {key!r} must be an integer "
+                    f"pair, got {pair!r}")
+            plus[key], minus[key] = pair
+        object.__setattr__(self, "_plus", HodgeDiamond(plus, complex_dimension))
+        object.__setattr__(self, "_minus", HodgeDiamond(minus, complex_dimension))
+
+    @classmethod
+    def _from_parts(cls, plus: HodgeDiamond,
+                    minus: HodgeDiamond) -> "EquivariantDiamond":
+        """Pair two eigenspace tables of the same complex dimension."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "_plus", plus)
+        object.__setattr__(d, "_minus", minus)
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("EquivariantDiamond is immutable")
 
     @property
     def complex_dimension(self) -> int | None:
-        return self._dim
+        return self._plus.complex_dimension
 
     @property
     def entries(self) -> dict[Bidegree, EigenPair]:
-        return dict(self._entries)
+        return {(p, q): (pl, mi) for p, q, pl, mi in self.items()}
 
     def pair(self, p: int, q: int) -> EigenPair:
-        return self._entries.get((p, q), (0, 0))
+        return self._plus.h(p, q), self._minus.h(p, q)
 
     def plus(self, p: int, q: int) -> int:
-        return self._entries.get((p, q), (0, 0))[0]
+        return self._plus.h(p, q)
 
     def minus(self, p: int, q: int) -> int:
-        return self._entries.get((p, q), (0, 0))[1]
+        return self._minus.h(p, q)
 
     def items(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (p, q, plus, minus) in lexicographic order."""
-        for (p, q), (plus, minus) in self._entries.items():
-            yield p, q, plus, minus
+        plus, minus = self._plus, self._minus
+        for p, q in sorted(plus._entries.keys() | minus._entries.keys()):
+            yield p, q, plus.h(p, q), minus.h(p, q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EquivariantDiamond):
             return NotImplemented
-        return self._dim == other._dim and self._entries == other._entries
+        return self._plus == other._plus and self._minus == other._minus
 
     def __hash__(self) -> int:
-        return hash((self._dim, tuple(self._entries.items())))
+        return hash((self._plus, self._minus))
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._plus or self._minus)
 
     def __repr__(self) -> str:
         body = ", ".join(f"({p},{q}): ({pl},{mi})" for p, q, pl, mi in self.items())
-        if self._dim is None:
+        if self.complex_dimension is None:
             return f"EquivariantDiamond({{{body}}})"
-        return f"EquivariantDiamond({{{body}}}, complex_dimension={self._dim})"
+        return (f"EquivariantDiamond({{{body}}}, "
+                f"complex_dimension={self.complex_dimension})")
 
     def to_json_dict(self) -> dict:
         return {"entries": [[p, q, pl, mi] for p, q, pl, mi in self.items()]}
@@ -159,39 +159,13 @@ class EquivariantDiamond:
 
 def invariant_part(d: EquivariantDiamond) -> HodgeDiamond:
     """The plus eigenspace dimensions as a plain table."""
-    return HodgeDiamond({(p, q): pl for p, q, pl, _ in d.items()},
-                        complex_dimension=d.complex_dimension)
-
-
-def anti_invariant_part(d: EquivariantDiamond) -> HodgeDiamond:
-    """The minus eigenspace dimensions as a plain table."""
-    return HodgeDiamond({(p, q): mi for p, q, _, mi in d.items()},
-                        complex_dimension=d.complex_dimension)
+    return d._plus
 
 
 def forget(d: EquivariantDiamond) -> HodgeDiamond:
     """Drop the involution: total dimension plus + minus per bidegree."""
-    return HodgeDiamond({(p, q): pl + mi for p, q, pl, mi in d.items()},
-                        complex_dimension=d.complex_dimension)
-
-
-def split_from_invariant(total: HodgeDiamond,
-                         inv: HodgeDiamond) -> EquivariantDiamond:
-    """Split a table into (invariant, rest) eigenspace pairs.
-
-    Every entry of ``inv`` must be bounded by the matching entry of
-    ``total``; the minus part is the entrywise difference.
-    """
-    table: dict[Bidegree, EigenPair] = {}
-    keys = set(total.entries) | set(inv.entries)
-    for p, q in sorted(keys):
-        t = total.h(p, q)
-        i = inv.h(p, q)
-        if i > t:
-            raise ValueError(
-                f"invariant dimension {i} exceeds total {t} at ({p},{q})")
-        table[(p, q)] = (i, t - i)
-    return EquivariantDiamond(table, complex_dimension=total.complex_dimension)
+    total = direct_sum(d._plus, d._minus)
+    return HodgeDiamond._trusted(total._entries, d.complex_dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -199,96 +173,37 @@ def split_from_invariant(total: HodgeDiamond,
 
 
 def eq_sum(a: EquivariantDiamond, b: EquivariantDiamond) -> EquivariantDiamond:
-    """Entrywise direct sum of eigenspace pairs."""
-    table = a.entries
-    for p, q, plus, minus in b.items():
-        old = table.get((p, q), (0, 0))
-        table[(p, q)] = (old[0] + plus, old[1] + minus)
-    return EquivariantDiamond(table)
+    """Direct sum of each eigenspace."""
+    return EquivariantDiamond._from_parts(direct_sum(a._plus, b._plus),
+                                          direct_sum(a._minus, b._minus))
 
 
 def eq_tensor(a: EquivariantDiamond, b: EquivariantDiamond) -> EquivariantDiamond:
     """Tensor product with the sign rule minus * minus -> plus."""
-    table: dict[Bidegree, EigenPair] = {}
-    for p1, q1, pl1, mi1 in a.items():
-        for p2, q2, pl2, mi2 in b.items():
-            key = (p1 + p2, q1 + q2)
-            old = table.get(key, (0, 0))
-            table[key] = (old[0] + pl1 * pl2 + mi1 * mi2,
-                          old[1] + pl1 * mi2 + mi1 * pl2)
-    return EquivariantDiamond(table)
+    ap, am = a._plus._entries, a._minus._entries
+    bp, bm = b._plus._entries, b._minus._entries
+    plus = _convolve(am, bm, _convolve(ap, bp, {}))
+    minus = _convolve(am, bp, _convolve(ap, bm, {}))
+    return EquivariantDiamond._from_parts(HodgeDiamond._trusted(plus),
+                                          HodgeDiamond._trusted(minus))
 
 
 def eq_tate_twist(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
     """Shift every entry from (p, q) to (p+k, q+k), keeping the signs."""
-    table: dict[Bidegree, EigenPair] = {}
-    for p, q, plus, minus in d.items():
-        if p + k < 0 or q + k < 0:
-            raise ValueError(f"twist by {k} pushes ({p},{q}) out of range")
-        table[(p + k, q + k)] = (plus, minus)
-    return EquivariantDiamond(table)
+    return EquivariantDiamond._from_parts(tate_twist(d._plus, k),
+                                          tate_twist(d._minus, k))
 
 
-def _require_even_support(d: EquivariantDiamond, op: str) -> None:
-    for p, q, _, _ in d.items():
-        if (p + q) % 2:
-            raise ValueError(
-                f"{op} needs even total degrees only; found an entry at "
-                f"({p},{q})")
-
-
-def _sym_block(a: int, b: int, j: int) -> EigenPair:
-    """Sym^j of a single piece with a plus and b minus dimensions.
-
-    Sym^i of the plus part tensor Sym^{j-i} of the minus part; an odd
-    number of minus factors makes the product anti-invariant.
-    """
-    plus = minus = 0
-    for i in range(j + 1):
-        d = _sym_dim(a, i) * _sym_dim(b, j - i)
-        if (j - i) % 2:
-            minus += d
-        else:
-            plus += d
-    return plus, minus
-
-
-def _ext_block(a: int, b: int, j: int) -> EigenPair:
-    """Lambda^j of a single piece, split as in :func:`_sym_block`.
-
-    The roles swap inside each factor (Lambda of plus tensor Lambda of
-    minus), but the sign of a summand is still the parity of the number
-    of minus basis vectors in it.
-    """
-    plus = minus = 0
-    for i in range(j + 1):
-        d = _ext_dim(a, i) * _ext_dim(b, j - i)
-        if (j - i) % 2:
-            minus += d
-        else:
-            plus += d
-    return plus, minus
-
-
-def _graded_power_eq(entries: dict[Bidegree, EigenPair], k: int,
-                     block) -> dict[Bidegree, EigenPair]:
-    acc: list[dict[Bidegree, EigenPair]] = [{} for _ in range(k + 1)]
-    acc[0][(0, 0)] = (1, 0)
-    for (p, q), (a, b) in sorted(entries.items()):
-        nxt = [dict(t) for t in acc]
-        for j in range(1, k + 1):
-            bp, bm = block(a, b, j)
-            if not (bp or bm):
-                continue
-            for used in range(k - j + 1):
-                for (ap, aq), (xp, xm) in acc[used].items():
-                    key = (ap + j * p, aq + j * q)
-                    tgt = nxt[used + j]
-                    old = tgt.get(key, (0, 0))
-                    tgt[key] = (old[0] + xp * bp + xm * bm,
-                                old[1] + xp * bm + xm * bp)
-        acc = nxt
-    return acc[k]
+def _eq_power(d: EquivariantDiamond, k: int, block,
+              op: str) -> EquivariantDiamond:
+    """Split the k-th power of V+ + V- by the parity of its minus factors."""
+    plus = _graded_powers(d._plus, k, block, op)
+    minus = _graded_powers(d._minus, k, block, op)
+    signed: tuple[dict, dict] = ({}, {})
+    for i in range(k + 1):
+        _convolve(plus[i], minus[k - i], signed[(k - i) % 2])
+    return EquivariantDiamond._from_parts(HodgeDiamond._trusted(signed[0]),
+                                          HodgeDiamond._trusted(signed[1]))
 
 
 def eq_sym_power(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
@@ -296,15 +211,9 @@ def eq_sym_power(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
 
     Forgetting the involution recovers the plain ``sym_power``.
     """
-    if k < 0:
-        raise ValueError("power index must be nonnegative")
-    _require_even_support(d, "eq_sym_power")
-    return EquivariantDiamond(_graded_power_eq(d.entries, k, _sym_block))
+    return _eq_power(d, k, _sym_dim, "eq_sym_power")
 
 
 def eq_ext_power(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
     """k-th exterior power with the eigenspace bookkeeping."""
-    if k < 0:
-        raise ValueError("power index must be nonnegative")
-    _require_even_support(d, "eq_ext_power")
-    return EquivariantDiamond(_graded_power_eq(d.entries, k, _ext_block))
+    return _eq_power(d, k, _ext_dim, "eq_ext_power")

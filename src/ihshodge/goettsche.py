@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Mapping
 
-from .diamond import ConsistencyError, HodgeDiamond
+from .diamond import ConsistencyError, HodgeDiamond, _is_int
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -46,6 +46,11 @@ def _binomial_any(exponent: int, j: int) -> int:
     return (-1) ** j * math.comb(-exponent + j - 1, j)
 
 
+def _check_bounds(max_xy: int, max_t: int) -> None:
+    if not (_is_int(max_xy) and _is_int(max_t)) or max_xy < 0 or max_t < 0:
+        raise ValueError("truncation bounds must be nonnegative integers")
+
+
 class TruncatedSeries3:
     """Polynomial in x, y, t truncated at fixed maximal exponents.
 
@@ -58,25 +63,35 @@ class TruncatedSeries3:
 
     def __init__(self, coefficients: Mapping[Exponents, int],
                  max_xy: int, max_t: int):
-        if max_xy < 0 or max_t < 0:
-            raise ValueError("truncation bounds must be nonnegative")
+        _check_bounds(max_xy, max_t)
         object.__setattr__(self, "max_xy", max_xy)
         object.__setattr__(self, "max_t", max_t)
         table: dict[Exponents, int] = {}
         for key, value in coefficients.items():
             if (not isinstance(key, tuple) or len(key) != 3
-                    or not all(isinstance(c, int) for c in key)):
+                    or not all(_is_int(c) for c in key)):
                 raise ValueError(f"exponent keys must be integer triples, got {key!r}")
             a, b, m = key
             if a < 0 or b < 0 or m < 0:
                 raise ValueError(f"negative exponent in {key}")
-            if not isinstance(value, int):
+            if not _is_int(value):
                 raise ValueError(f"coefficient at {key} must be an integer")
             if a > max_xy or b > max_xy or m > max_t:
                 continue
             if value:
                 table[key] = value
         object.__setattr__(self, "_coeffs", dict(sorted(table.items())))
+
+    @classmethod
+    def _trusted(cls, coefficients: Mapping[Exponents, int],
+                 max_xy: int, max_t: int) -> "TruncatedSeries3":
+        """Wrap in-bound coefficients computed from validated series."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "max_xy", max_xy)
+        object.__setattr__(s, "max_t", max_t)
+        object.__setattr__(s, "_coeffs",
+                           {key: v for key, v in sorted(coefficients.items()) if v})
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries3 is immutable")
@@ -127,7 +142,7 @@ def series_mul(a: TruncatedSeries3, b: TruncatedSeries3) -> TruncatedSeries3:
             if key[0] > a.max_xy or key[1] > a.max_xy or key[2] > a.max_t:
                 continue
             table[key] = table.get(key, 0) + c1 * c2
-    return TruncatedSeries3(table, a.max_xy, a.max_t)
+    return TruncatedSeries3._trusted(table, a.max_xy, a.max_t)
 
 
 def factor_power(base_exponents: Exponents, sign: int, exponent: int,
@@ -140,9 +155,10 @@ def factor_power(base_exponents: Exponents, sign: int, exponent: int,
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    _check_bounds(max_xy, max_t)
     dx, dy, dt = base_exponents
-    if dx < 0 or dy < 0 or dt < 0:
-        raise ValueError("base exponents must be nonnegative")
+    if not all(_is_int(c) and c >= 0 for c in base_exponents):
+        raise ValueError("base exponents must be nonnegative integers")
     if not (dx or dy or dt):
         raise ValueError("base monomial must be nonconstant")
     steps = [(dx, max_xy), (dy, max_xy), (dt, max_t)]
@@ -152,7 +168,7 @@ def factor_power(base_exponents: Exponents, sign: int, exponent: int,
         c = _binomial_any(exponent, j) * sign ** j
         if c:
             table[(j * dx, j * dy, j * dt)] = c
-    return TruncatedSeries3(table, max_xy, max_t)
+    return TruncatedSeries3._trusted(table, max_xy, max_t)
 
 
 # ---------------------------------------------------------------------------
@@ -226,4 +242,4 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
             raise ConsistencyError(
                 f"negative coefficient {value} at x^{a} y^{b} t^{n} in the "
                 f"Hilbert scheme series")
-    return HodgeDiamond(table, complex_dimension=2 * n)
+    return HodgeDiamond._trusted(table, 2 * n)

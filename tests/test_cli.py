@@ -151,6 +151,13 @@ def test_hilb_cap_override_via_env():
     assert "HODGE_MAX_N" in bad.stderr
 
 
+def test_hilb_rejects_negative_max_n_env():
+    proc = run_cli("hilb", "--n", "0", env_extra={"HODGE_MAX_N": "-3"})
+    assert proc.returncode == 2
+    assert "HODGE_MAX_N" in proc.stderr
+    assert "configured cap" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # check
 

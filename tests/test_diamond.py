@@ -84,6 +84,15 @@ def test_make_diamond_builds_og6():
 def test_dimension_must_be_nonnegative_integer():
     with pytest.raises(ValueError):
         HodgeDiamond({}, complex_dimension=-1)
+    with pytest.raises(ValueError):
+        HodgeDiamond({}, complex_dimension=True)
+
+
+def test_bool_is_not_an_integer():
+    with pytest.raises(ValueError):
+        HodgeDiamond({(True, 0): 1})
+    with pytest.raises(ValueError):
+        HodgeDiamond({(0, 0): True})
 
 
 def test_immutability():
@@ -117,6 +126,9 @@ def test_json_parser_rejects_malformed():
     with pytest.raises(ValueError):
         HodgeDiamond.from_json_dict(
             {"complex_dimension": None, "entries": [[0, 0, 1], [0, 0, 2]]})
+    with pytest.raises(ValueError):
+        HodgeDiamond.from_json(
+            '{"complex_dimension": true, "entries": [[0, 0, 1]]}')
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +219,8 @@ def test_tate_twist_shifts_diagonally():
     assert tate_twist(twisted, -1) == h2
     with pytest.raises(ValueError):
         tate_twist(h2, -1)
+    with pytest.raises(ValueError):
+        tate_twist(h2, 0.5)
 
 
 def test_sym_power_k3_h2():
@@ -221,6 +235,11 @@ def test_sym_power_identities():
     assert sym_power(h2, 0) == HodgeDiamond({(0, 0): 1})
     assert sym_power(h2, 1) == h2
     assert sym_power(h2, 3).total_dimension() == 2300
+    for k in (-1, True):
+        with pytest.raises(ValueError):
+            sym_power(h2, k)
+        with pytest.raises(ValueError):
+            ext_power(h2, k)
 
 
 def test_ext_power_k3_cube_h2():

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import eq_ext_power_oracle, eq_sym_power_oracle
-from ihshodge.diamond import HodgeDiamond, ext_power, sym_power, tensor
+from ihshodge.diamond import ext_power, sym_power, tensor
 from ihshodge.equivariant import (
     EquivariantDiamond,
-    anti_invariant_part,
     eq_ext_power,
     eq_sum,
     eq_sym_power,
@@ -19,7 +18,6 @@ from ihshodge.equivariant import (
     eq_tensor,
     forget,
     invariant_part,
-    split_from_invariant,
 )
 
 H2_SPLIT = EquivariantDiamond({(2, 0): (1, 0), (1, 1): (5, 16), (0, 2): (1, 0)})
@@ -37,6 +35,24 @@ def test_zero_pairs_dropped():
 def test_negative_pair_rejected():
     with pytest.raises(ValueError):
         EquivariantDiamond({(1, 1): (1, -1)})
+    with pytest.raises(ValueError):
+        EquivariantDiamond({(1, 1): (-1, 1)})
+
+
+@pytest.mark.parametrize("entries, dim", [
+    ({(1, 1): 3}, None),
+    ({(1, 1): (1, 2, 3)}, None),
+    ({(1, 1): [1, 2]}, None),
+    ({(3, 0): (1, 0)}, 2),
+    ({(0, 3): (0, 1)}, 2),
+    ({(1, 1): (True, False)}, None),
+    ({(1, 1): (1, 0)}, True),
+    ({(True, 1): (1, 0)}, None),
+], ids=["scalar", "triple", "list", "p-outside", "q-outside", "bool-pair",
+        "bool-dimension", "bool-key"])
+def test_invalid_entries_rejected(entries, dim):
+    with pytest.raises(ValueError):
+        EquivariantDiamond(entries, complex_dimension=dim)
 
 
 def test_json_round_trip():
@@ -58,28 +74,14 @@ def test_immutability():
 
 def test_invariant_and_anti_parts():
     assert invariant_part(H2_SPLIT).entries == {(2, 0): 1, (1, 1): 5, (0, 2): 1}
-    assert anti_invariant_part(H2_SPLIT).entries == {(1, 1): 16}
+    assert [H2_SPLIT.minus(p, q) for p, q in ((2, 0), (1, 1), (0, 2))] == [0, 16, 0]
 
 
 def test_forget_is_sum_of_parts():
     total = forget(H2_SPLIT)
-    recombined = invariant_part(H2_SPLIT) + anti_invariant_part(H2_SPLIT)
-    assert total.entries == recombined.entries
+    assert total.entries == {(p, q): sum(H2_SPLIT.pair(p, q))
+                             for p, q, _, _ in H2_SPLIT.items()}
     assert total.entries == {(2, 0): 1, (1, 1): 21, (0, 2): 1}
-
-
-def test_split_from_invariant():
-    total = HodgeDiamond({(2, 0): 1, (1, 1): 21, (0, 2): 1})
-    inv = HodgeDiamond({(2, 0): 1, (1, 1): 5, (0, 2): 1})
-    assert split_from_invariant(total, inv) == H2_SPLIT
-    assert split_from_invariant(total, total).pair(1, 1) == (21, 0)
-
-
-def test_split_from_invariant_bounds_checked():
-    total = HodgeDiamond({(1, 1): 5})
-    inv = HodgeDiamond({(1, 1): 6})
-    with pytest.raises(ValueError):
-        split_from_invariant(total, inv)
 
 
 # ---------------------------------------------------------------------------

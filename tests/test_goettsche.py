@@ -67,9 +67,20 @@ def test_negative_exponents_rejected():
 
 def test_bound_mismatch_rejected():
     a = TruncatedSeries3.one(4, 2)
-    b = TruncatedSeries3.one(4, 3)
+    for b in (TruncatedSeries3.one(4, 3), TruncatedSeries3.one(3, 2)):
+        with pytest.raises(ValueError):
+            series_mul(a, b)
+
+
+def test_bool_is_not_an_integer():
     with pytest.raises(ValueError):
-        series_mul(a, b)
+        TruncatedSeries3({(True, 0, 0): 1}, 4, 2)
+    with pytest.raises(ValueError):
+        TruncatedSeries3({(1, 0, 0): True}, 4, 2)
+    with pytest.raises(ValueError):
+        TruncatedSeries3({}, True, 2)
+    with pytest.raises(ValueError):
+        TruncatedSeries3.one(4, False)
 
 
 def test_difference_of_squares():
@@ -141,6 +152,12 @@ def test_factor_power_validates_input():
         factor_power((0, 0, 0), 1, 2, 4, 4)
     with pytest.raises(ValueError):
         factor_power((1, 0, 1), 3, 2, 4, 4)
+    with pytest.raises(ValueError):
+        factor_power((1, 0, 1), 1, 2, -1, 4)
+    with pytest.raises(ValueError):
+        factor_power((1, 0, 1), 1, 2, 4, -1)
+    with pytest.raises(ValueError):
+        factor_power((1, -1, 1), 1, 2, 4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="text")
     og6.add_argument("--trace", action="store_true",
                      help="include the stage-by-stage audit trail")
-    og6.add_argument("--b2", type=int, default=8,
-                     help="second Betti number (default 8)")
-    og6.add_argument("--chi", type=int, default=1920,
-                     help="topological Euler characteristic (default 1920)")
 
     hilb = sub.add_parser("hilb", help="Hilbert scheme of points on a surface")
     hilb.add_argument("--n", type=int, required=True,
@@ -63,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_og6(args: argparse.Namespace) -> int:
-    result = run_full_pipeline(args.b2, args.chi)
+    result = run_full_pipeline()
     if args.format == "json":
         payload = {
             "diamond": result.diamond.to_json_dict(),

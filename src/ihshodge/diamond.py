@@ -266,15 +266,15 @@ class BettiVector:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
         object.__setattr__(self, "b", tuple(self.b))
         if len(self.b) != 2 * self.n + 1:
             raise ValueError(
                 f"expected {2 * self.n + 1} Betti numbers for n={self.n}, "
                 f"got {len(self.b)}")
         for k, value in enumerate(self.b):
-            if not isinstance(value, int) or value < 0:
+            if not _is_int(value) or value < 0:
                 raise ValueError(f"b_{k} must be a nonnegative integer")
 
     def __len__(self) -> int:

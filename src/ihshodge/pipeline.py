@@ -33,7 +33,6 @@ bidegrees to confirm that this completion is consistent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,6 +41,7 @@ from .diamond import (
     BettiVector,
     ConsistencyError,
     HodgeDiamond,
+    _is_int,
     betti,
     check_diamond,
     chi_p,
@@ -60,9 +60,9 @@ from .equivariant import (
     eq_sum,
     eq_sym_power,
     eq_tate_twist,
-    eq_tensor,
     invariant_part,
 )
+from .goettsche import abelian_fourfold_diamond
 
 __all__ = [
     "DEFAULT_CONSTANTS",
@@ -77,7 +77,6 @@ __all__ = [
     "delta_bar_diamond",
     "derive_invariant_h2",
     "incidence_swap_invariants",
-    "khat_diamond",
     "markman_assembly",
     "markman_equivariant",
     "og6_diamond",
@@ -119,11 +118,17 @@ class NamedConstants:
       center blown up when comparing with the OG6 manifold itself.
     * ``incidence_swap_row``: invariant dimensions of the incidence
       variety under the swap, see :func:`incidence_swap_invariants`.
+    * ``b2`` and ``euler_characteristic``: the second Betti number 8 and
+      the topological Euler characteristic 1920 of OG6, which fix the
+      invariant part of H^2 and the Salamon and Euler cross-check.
     """
 
     two_torsion_count: int = 256
     quadric3: HodgeDiamond = field(default_factory=quadric3_diamond)
-    incidence_swap_row: tuple[int, int, int] = (1, 1, 2)
+    incidence_swap_row: tuple[int, int, int] = field(
+        default_factory=incidence_swap_invariants)
+    b2: int = 8
+    euler_characteristic: int = 1920
 
 
 DEFAULT_CONSTANTS = NamedConstants()
@@ -156,10 +161,9 @@ class ChernReport:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One derivation stage: its tag, inputs, output and corrections."""
+    """One derivation stage: its tag, output and corrections."""
 
     lemma: str
-    inputs: tuple
     output: HodgeDiamond
     corrections: tuple[tuple[int, int, int], ...]
 
@@ -218,32 +222,44 @@ def blowup_diamond(X: HodgeDiamond, Z: HodgeDiamond,
     """
     if X.complex_dimension is None or Z.complex_dimension is None:
         raise ValueError("blowup_diamond needs dimensioned diamonds")
-    if codim < 2:
-        raise ValueError("blow-up centers must have codimension at least 2")
+    if not _is_int(codim) or codim < 2:
+        raise ValueError(f"blow-up codimension must be an integer of at "
+                         f"least 2, got {codim!r}")
     if Z.complex_dimension != X.complex_dimension - codim:
         raise ValueError(
             f"center dimension {Z.complex_dimension} does not match "
             f"codimension {codim} in a {X.complex_dimension}-fold")
-    table = X.entries
-    for p, q, value in Z.items():
+    return _apply_corrections(X, _blowup_classes(Z, codim, 1),
+                              X.complex_dimension)
+
+
+def _blowup_classes(center: HodgeDiamond, codim: int,
+                    copies: int) -> dict[Bidegree, int]:
+    """The classes that blowing up ``copies`` disjoint copies of a center adds.
+
+    At each bidegree (p, q) this is copies * h^{p-k,q-k}(center) summed
+    over k = 1 .. codim-1; a negative ``copies`` blows the centers down.
+    """
+    out: dict[Bidegree, int] = {}
+    for p, q, value in center.items():
         for k in range(1, codim):
             key = (p + k, q + k)
-            table[key] = table.get(key, 0) + value
-    return HodgeDiamond(table, complex_dimension=X.complex_dimension)
+            out[key] = out.get(key, 0) + copies * value
+    return out
 
 
 def delta_bar_diamond(constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDiamond:
     """Quotient of the 4-torus A x A^ by -1, resolved at the fixed points.
 
-    Even bidegrees keep the torus dimensions C(4,p) C(4,q); the odd part
+    Even bidegrees keep the torus dimensions of
+    :func:`~ihshodge.goettsche.abelian_fourfold_diamond`; the odd part
     dies in the quotient; each of the 256 fixed two-torsion points
     contributes an exceptional class at (1,1), (2,2) and (3,3).
     """
-    count = constants.two_torsion_count
-    table = {(p, q): math.comb(4, p) * math.comb(4, q)
-             for p in range(5) for q in range(5) if (p + q) % 2 == 0}
+    table = {(p, q): value for p, q, value in abelian_fourfold_diamond().items()
+             if (p + q) % 2 == 0}
     for k in (1, 2, 3):
-        table[(k, k)] += count
+        table[(k, k)] += constants.two_torsion_count
     return HodgeDiamond(table, complex_dimension=4)
 
 
@@ -260,8 +276,8 @@ def derive_invariant_h2(b2_og6: int) -> EquivariantDiamond:
     h^{1,1} = 21 of a K3^[3]-type manifold.  The remaining 24 - b2_og6
     classes of type (1,1) are anti-invariant.
     """
-    if not isinstance(b2_og6, int):
-        raise ValueError("b2 must be an integer")
+    if not _is_int(b2_og6):
+        raise ValueError(f"b2 must be an integer, got {b2_og6!r}")
     if b2_og6 < 3:
         raise ValueError(f"b2={b2_og6} leaves no room for the (2,0) classes")
     inv_h11 = b2_og6 - 3
@@ -285,16 +301,16 @@ def markman_equivariant(h2: EquivariantDiamond,
     (3,3).  The involution acts through H^2, so the summands inherit its
     eigenspace structure functorially.
     """
+    if not _is_int(weight) or weight not in (4, 6):
+        raise ValueError(f"weight must be 4 or 6, got {weight!r}")
     for p, q, _, _ in h2.items():
         if p + q != 2:
             raise ValueError("markman_equivariant expects a weight 2 table")
     if weight == 4:
         return eq_sum(eq_sym_power(h2, 2), eq_tate_twist(h2, 1))
-    if weight == 6:
-        twisted = eq_tate_twist(eq_ext_power(h2, 2), 1)
-        trivial = EquivariantDiamond({(3, 3): (1, 0)})
-        return eq_sum(eq_sum(eq_sym_power(h2, 3), twisted), trivial)
-    raise ValueError(f"weight must be 4 or 6, got {weight}")
+    twisted = eq_tate_twist(eq_ext_power(h2, 2), 1)
+    trivial = EquivariantDiamond({(3, 3): (1, 0)})
+    return eq_sum(eq_sum(eq_sym_power(h2, 3), twisted), trivial)
 
 
 def markman_assembly(h2_total: HodgeDiamond) -> HodgeDiamond:
@@ -323,27 +339,45 @@ def _require_lower_half(d: HodgeDiamond, op: str) -> None:
                 f"{op} expects a table supported in p+q <= 6; found ({p},{q})")
 
 
-def _apply_corrections(d: HodgeDiamond,
-                       corrections: dict[Bidegree, int]) -> HodgeDiamond:
+def _apply_corrections(d: HodgeDiamond, corrections: dict[Bidegree, int],
+                       complex_dimension: int | None = None) -> HodgeDiamond:
     table = d.entries
     for key, delta in sorted(corrections.items()):
-        table[key] = table.get(key, 0) + delta
-    return HodgeDiamond(table)
+        value = table.get(key, 0) + delta
+        if value < 0:
+            raise ConsistencyError(
+                f"negative entry {value} at {key} after a blow-up correction")
+        table[key] = value
+    return HodgeDiamond(table, complex_dimension=complex_dimension)
 
 
-def _correction_list(corrections: dict[Bidegree, int]) -> tuple[tuple[int, int, int], ...]:
-    return tuple((p, q, delta) for (p, q), delta in sorted(corrections.items())
-                 if delta)
+def _lower_half(corrections: dict[Bidegree, int]) -> dict[Bidegree, int]:
+    return {key: delta for key, delta in corrections.items() if sum(key) <= 6}
+
+
+def _corrections_between(before: HodgeDiamond, after: HodgeDiamond
+                         ) -> tuple[tuple[int, int, int], ...]:
+    """The (p, q, delta) triples a stage added to turn one table into the other."""
+    keys = sorted(before.entries.keys() | after.entries.keys())
+    return tuple((p, q, after.h(p, q) - before.h(p, q)) for p, q in keys
+                 if after.h(p, q) != before.h(p, q))
 
 
 # ---------------------------------------------------------------------------
 # stages 3fin .. thm:main: corrections along the birational chain
+#
+# Each correction dict holds the blow-up classes at every bidegree of the
+# 6-fold; the main chain applies only their p + q <= 6 part, while
+# og6_via_dual_degrees applies them whole.
 
 
 def _ybar_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
-    count = constants.two_torsion_count
     row = constants.incidence_swap_row
-    return {(k + 1, k + 1): count * row[k] for k in range(len(row))}
+    # the H^0..H^4 row, mirrored to H^8 by Poincare duality on the 4-fold
+    palindrome = row + row[-2::-1]
+    incidence = HodgeDiamond({(k, k): v for k, v in enumerate(palindrome)},
+                             complex_dimension=len(palindrome) - 1)
+    return _blowup_classes(incidence, 2, constants.two_torsion_count)
 
 
 def ybar_invariants(y_inv: HodgeDiamond,
@@ -355,18 +389,11 @@ def ybar_invariants(y_inv: HodgeDiamond,
     entries (1,1), (2,2), (3,3) of the invariant table.
     """
     _require_lower_half(y_inv, "ybar_invariants")
-    return _apply_corrections(y_inv, _ybar_corrections(constants))
+    return _apply_corrections(y_inv, _lower_half(_ybar_corrections(constants)))
 
 
 def _yhat_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
-    delta_bar = delta_bar_diamond(constants)
-    out: dict[Bidegree, int] = {}
-    for p in range(7):
-        for q in range(7 - p):
-            value = delta_bar.h(p - 1, q - 1) if p >= 1 and q >= 1 else 0
-            if value:
-                out[(p, q)] = value
-    return out
+    return _blowup_classes(delta_bar_diamond(constants), 2, 1)
 
 
 def yhat_invariants(ybar_inv: HodgeDiamond,
@@ -376,53 +403,29 @@ def yhat_invariants(ybar_inv: HodgeDiamond,
     The singular quotient acquires, after blowing up the image of the
     fixed 4-torus, the classes h^{p-1,q-1} of the resolved quotient
     :func:`delta_bar_diamond` in each bidegree (p, q) with p + q <= 6.
+    The result is also the blow-up of the OG6 manifold along 256 quadric
+    threefolds (stage ``Kt-and-Ktt(2)``).
     """
     _require_lower_half(ybar_inv, "yhat_invariants")
-    return _apply_corrections(ybar_inv, _yhat_corrections(constants))
-
-
-def khat_diamond(yhat_inv: HodgeDiamond) -> HodgeDiamond:
-    """The blow-up of the OG6 manifold along 256 quadric threefolds.
-
-    This stage is an identification, not a computation: the table built
-    through the quotient chain is literally the diamond of that blow-up.
-    Kept explicit so the audit trace records the identification.
-    """
-    _require_lower_half(yhat_inv, "khat_diamond")
-    return yhat_inv
+    return _apply_corrections(ybar_inv, _lower_half(_yhat_corrections(constants)))
 
 
 def _quadric_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
-    count = constants.two_torsion_count
-    quadric = constants.quadric3
-    out: dict[Bidegree, int] = {}
-    for p in range(7):
-        for q in range(7 - p):
-            shifted = sum(quadric.h(p - k, q - k) for k in (1, 2)
-                          if p >= k and q >= k)
-            if shifted:
-                out[(p, q)] = count * shifted
-    return out
+    return _blowup_classes(constants.quadric3, 3, -constants.two_torsion_count)
 
 
 def og6_diamond(khat: HodgeDiamond,
                 constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDiamond:
     """Remove the 256 quadric contributions and complete by duality.
 
-    Inverts the codimension 2 blow-up formula for 256 disjoint quadric
-    threefold centers, then mirrors the p + q < 6 entries to the upper
-    half and validates the result as a 6-fold diamond.
+    Inverts the codimension 3 blow-up formula (shifts k = 1, 2) for 256
+    disjoint quadric threefold centers, then mirrors the p + q < 6
+    entries to the upper half and validates the result as a 6-fold
+    diamond.
     """
     _require_lower_half(khat, "og6_diamond")
-    table = khat.entries
-    for key, delta in sorted(_quadric_corrections(constants).items()):
-        value = table.get(key, 0) - delta
-        if value < 0:
-            raise ConsistencyError(
-                f"negative entry {value} at {key} after removing the "
-                f"quadric contributions")
-        table[key] = value
-    completed = complete_by_duality(HodgeDiamond(table), 6)
+    lower = _apply_corrections(khat, _lower_half(_quadric_corrections(constants)))
+    completed = complete_by_duality(lower, 6)
     report = check_diamond(completed)
     if not report.ok:
         raise ConsistencyError(
@@ -462,55 +465,53 @@ def chern_numbers(d: HodgeDiamond) -> ChernReport:
 # the full derivation
 
 
-def _assemble_invariants(b2_og6: int) -> tuple[EquivariantDiamond, HodgeDiamond]:
-    h2 = derive_invariant_h2(b2_og6)
+def _assemble_invariants(constants: NamedConstants) -> HodgeDiamond:
+    h2 = derive_invariant_h2(constants.b2)
     full = eq_sum(EquivariantDiamond({(0, 0): (1, 0)}), h2)
     full = eq_sum(full, markman_equivariant(h2, 4))
     full = eq_sum(full, markman_equivariant(h2, 6))
-    return h2, invariant_part(full)
+    return invariant_part(full)
 
 
-def run_full_pipeline(b2_og6: int = 8, chi_top: int = 1920,
-                      constants: NamedConstants = DEFAULT_CONSTANTS
+def run_full_pipeline(constants: NamedConstants = DEFAULT_CONSTANTS
                       ) -> PipelineResult:
     """Run the whole derivation and cross-validate the result.
 
     Returns the OG6 diamond, its Betti numbers, its Chern numbers and an
     audit trace of the six stages.  The middle Betti numbers of the
     derived table must independently solve the Salamon and Euler linear
-    system for (b2, chi); a mismatch, for example after perturbing one
-    of the named constants, raises :class:`ConsistencyError`.
+    system for the named b2 and Euler characteristic; a mismatch, or a
+    system without solution, for example after perturbing one of the
+    named constants, raises :class:`ConsistencyError`.
     """
-    h2, y_inv = _assemble_invariants(b2_og6)
-    steps = [TraceStep("4fin", (h2,), y_inv, ())]
-
-    ybar_corr = _ybar_corrections(constants)
+    y_inv = _assemble_invariants(constants)
     ybar = ybar_invariants(y_inv, constants)
-    steps.append(TraceStep("3fin", (y_inv,), ybar, _correction_list(ybar_corr)))
-
-    yhat_corr = _yhat_corrections(constants)
     yhat = yhat_invariants(ybar, constants)
-    steps.append(TraceStep("X-and-Y", (ybar,), yhat, _correction_list(yhat_corr)))
+    diamond = og6_diamond(yhat, constants)
+    lower = HodgeDiamond._trusted({(p, q): value for p, q, value
+                                   in diamond.items() if p + q <= 6})
+    trace = PipelineTrace((
+        TraceStep("4fin", y_inv, ()),
+        TraceStep("3fin", ybar, _corrections_between(y_inv, ybar)),
+        TraceStep("X-and-Y", yhat, _corrections_between(ybar, yhat)),
+        TraceStep("Kt-and-Ktt(2)", yhat, ()),
+        TraceStep("Kt-and-Ktt(1)", lower, _corrections_between(yhat, lower)),
+        TraceStep("thm:main", diamond, ()),
+    ))
 
-    khat = khat_diamond(yhat)
-    steps.append(TraceStep("Kt-and-Ktt(2)", (yhat,), khat, ()))
-
-    quadric_corr = {key: -delta
-                    for key, delta in _quadric_corrections(constants).items()}
-    lower = _apply_corrections(khat, quadric_corr)
-    steps.append(TraceStep("Kt-and-Ktt(1)", (khat,), lower,
-                           _correction_list(quadric_corr)))
-
-    diamond = og6_diamond(khat, constants)
-    steps.append(TraceStep("thm:main", (lower,), diamond, ()))
-
-    b4, b6 = solve_betti_dim6(1, b2_og6, chi_top)
+    b2, chi_top = constants.b2, constants.euler_characteristic
+    try:
+        b4, b6 = solve_betti_dim6(1, b2, chi_top)
+    except ValueError as exc:
+        raise ConsistencyError(
+            f"cross-validation mismatch: the named constants admit no "
+            f"Betti numbers: {exc}") from exc
     vector = betti(diamond)
-    if (vector.b[2], vector.b[4], vector.b[6]) != (b2_og6, b4, b6):
+    if (vector.b[2], vector.b[4], vector.b[6]) != (b2, b4, b6):
         raise ConsistencyError(
             f"cross-validation mismatch: the derived table has middle "
             f"Betti numbers {vector.b[2:7:2]}, the Salamon and Euler "
-            f"system demands {(b2_og6, b4, b6)}")
+            f"system demands {(b2, b4, b6)}")
     if euler_characteristic(diamond) != chi_top:
         raise ConsistencyError(
             f"cross-validation mismatch: the derived table has Euler "
@@ -519,42 +520,21 @@ def run_full_pipeline(b2_og6: int = 8, chi_top: int = 1920,
     if salamon_residual(vector.lower_half()) != 0:
         raise ConsistencyError("the derived table violates the Salamon "
                                "constraint")
-    report = chern_numbers(diamond)
-    return PipelineResult(diamond, vector, report, PipelineTrace(tuple(steps)))
+    return PipelineResult(diamond, vector, chern_numbers(diamond), trace)
 
 
-def og6_via_dual_degrees(b2_og6: int = 8,
-                         constants: NamedConstants = DEFAULT_CONSTANTS
+def og6_via_dual_degrees(constants: NamedConstants = DEFAULT_CONSTANTS
                          ) -> HodgeDiamond:
     """Re-derive the OG6 diamond applying the corrections at dual degrees.
 
     Completes the stage 4fin invariant table by duality first and then
-    applies every correction of the chain at the mirrored bidegrees as
-    well: the incidence row reflected, the full delta-bar shifts and the
-    full quadric shifts.  Agreement with :func:`run_full_pipeline`
-    validates the duality completion of the main chain.
+    applies every blow-up correction of the chain at all bidegrees, the
+    mirrored ones included.  Agreement with :func:`run_full_pipeline`
+    validates that duality completion commutes with each correction.
     """
-    _, y_inv = _assemble_invariants(b2_og6)
-    full = complete_by_duality(y_inv, 6).as_abstract()
-
-    count = constants.two_torsion_count
-    row = constants.incidence_swap_row
-    corrections: dict[Bidegree, int] = {}
-    for k in range(len(row)):
-        for key in sorted({(k + 1, k + 1), (5 - k, 5 - k)}):
-            corrections[key] = corrections.get(key, 0) + count * row[k]
-
-    delta_bar = delta_bar_diamond(constants)
-    quadric = constants.quadric3
-    for p in range(7):
-        for q in range(7):
-            add = delta_bar.h(p - 1, q - 1) if p >= 1 and q >= 1 else 0
-            sub = count * sum(quadric.h(p - k, q - k) for k in (1, 2)
-                              if p >= k and q >= k)
-            if add or sub:
-                corrections[(p, q)] = corrections.get((p, q), 0) + add - sub
-
-    table = full.entries
-    for key, delta in sorted(corrections.items()):
-        table[key] = table.get(key, 0) + delta
-    return HodgeDiamond(table, complex_dimension=6)
+    table = complete_by_duality(_assemble_invariants(constants), 6)
+    for corrections in (_ybar_corrections(constants),
+                        _yhat_corrections(constants),
+                        _quadric_corrections(constants)):
+        table = _apply_corrections(table, corrections, 6)
+    return table

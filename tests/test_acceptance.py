@@ -37,7 +37,6 @@ from ihshodge.equivariant import (
 from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
 from ihshodge.pipeline import (
     derive_invariant_h2,
-    khat_diamond,
     markman_assembly,
     markman_equivariant,
     og6_diamond,
@@ -61,19 +60,19 @@ OG6_BETTI = (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1)
 
 
 def test_criterion_01_og6_hodge_table():
-    result = run_full_pipeline(8, 1920)
+    result = run_full_pipeline()
     assert result.diamond.entries == OG6_ENTRIES
     assert result.diamond.complex_dimension == 6
 
 
 def test_criterion_02_og6_betti_vector():
-    result = run_full_pipeline(8, 1920)
+    result = run_full_pipeline()
     assert result.betti_numbers == BettiVector(6, OG6_BETTI)
     assert euler_characteristic(result.diamond) == 1920
 
 
 def test_criterion_03_og6_chern_numbers():
-    chern = run_full_pipeline(8, 1920).chern
+    chern = run_full_pipeline().chern
     assert (chern.c2_cubed, chern.c2_c4, chern.c6) == (30720, 7680, 1920)
     assert (chern.chi0, chern.chi1, chern.chi2) == (4, -24, 348)
     assert chern.c6 == euler_characteristic(run_full_pipeline().diamond)
@@ -157,18 +156,17 @@ def test_criterion_09_duality_and_symmetry():
     total = eq_sum(total, markman_equivariant(h2, 4))
     total = eq_sum(total, markman_equivariant(h2, 6))
     chain = og6_diamond(
-        khat_diamond(yhat_invariants(ybar_invariants(invariant_part(total)))))
+        yhat_invariants(ybar_invariants(invariant_part(total))))
     report = check_diamond(chain)
     assert report.ok
     assert report.violations == ()
 
 
 def test_criterion_10_cli_exit_codes():
-    impossible = subprocess.run(
-        [sys.executable, "-m", "ihshodge", "og6", "--b2", "8",
-         "--chi", "1921"],
+    over_cap = subprocess.run(
+        [sys.executable, "-m", "ihshodge", "hilb", "--n", "6"],
         capture_output=True, text=True)
-    assert impossible.returncode == 2, impossible.stderr
+    assert over_cap.returncode == 2, over_cap.stderr
     suite = subprocess.run(
         [sys.executable, "-m", "ihshodge", "check", "--suite", "all"],
         capture_output=True, text=True)

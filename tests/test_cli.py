@@ -7,9 +7,10 @@ import os
 import subprocess
 import sys
 
+from ihshodge import cli
 from ihshodge.diamond import HodgeDiamond
 from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
-from ihshodge.pipeline import STAGE_ORDER, run_full_pipeline
+from ihshodge.pipeline import STAGE_ORDER, NamedConstants, run_full_pipeline
 
 
 def run_cli(*argv: str, env_extra: dict[str, str] | None = None):
@@ -74,25 +75,22 @@ def test_og6_latex_output():
     assert "% Derivation trace:" in proc.stdout
 
 
-def test_og6_rejects_impossible_euler_characteristic():
-    proc = run_cli("og6", "--b2", "8", "--chi", "1921")
+def test_og6_rejects_constant_flags():
+    # b2 and chi are named constants of the derivation, not options.
+    proc = run_cli("og6", "--b2", "8")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert proc.stdout == ""
 
 
-def test_og6_rejects_bad_b2():
-    proc = run_cli("og6", "--b2", "2")
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr
-
-
-def test_og6_detects_inconsistent_pair():
-    # chi = 1928 solves the Betti system with b4 = 200, which the derived
-    # table contradicts, so this is an invariant violation, not bad input.
-    proc = run_cli("og6", "--chi", "1928")
-    assert proc.returncode == 1
-    assert "internal invariant violation" in proc.stderr
+def test_og6_corrupted_constant_exits_1(monkeypatch, capsys):
+    corrupted = NamedConstants(two_torsion_count=255)
+    monkeypatch.setattr(cli, "run_full_pipeline",
+                        lambda: run_full_pipeline(corrupted))
+    assert cli.main(["og6"]) == 1
+    captured = capsys.readouterr()
+    assert "internal invariant violation" in captured.err
+    assert captured.out == ""
 
 
 def test_og6_output_is_byte_deterministic():

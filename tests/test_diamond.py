@@ -333,6 +333,9 @@ def test_betti_vector_validation():
         BettiVector(2, (1, 0, 23))
     with pytest.raises(ValueError):
         BettiVector(1, (1, -1, 1))
+    for n, row in ((1.0, (1, 0, 1)), (True, (1, 0, 1)), (1, (1, True, 1))):
+        with pytest.raises(ValueError):
+            BettiVector(n, row)
 
 
 def test_lower_half():

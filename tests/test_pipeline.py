@@ -31,7 +31,6 @@ from ihshodge.pipeline import (
     delta_bar_diamond,
     derive_invariant_h2,
     incidence_swap_invariants,
-    khat_diamond,
     markman_assembly,
     markman_equivariant,
     og6_diamond,
@@ -89,6 +88,8 @@ def test_incidence_swap_row_matches_orbit_count():
 def test_named_constants_frozen():
     assert DEFAULT_CONSTANTS.two_torsion_count == 2 ** 8
     assert DEFAULT_CONSTANTS.quadric3 == quadric3_diamond()
+    assert DEFAULT_CONSTANTS.b2 == 8
+    assert DEFAULT_CONSTANTS.euler_characteristic == 1920
     with pytest.raises(dataclasses.FrozenInstanceError):
         DEFAULT_CONSTANTS.two_torsion_count = 0
 
@@ -135,6 +136,8 @@ def test_blowup_validation():
     with pytest.raises(ValueError):
         blowup_diamond(k3, point, 1)
     with pytest.raises(ValueError):
+        blowup_diamond(k3, point, 2.0)
+    with pytest.raises(ValueError):
         blowup_diamond(k3.as_abstract(), point, 2)
     with pytest.raises(ValueError):
         blowup_diamond(k3, surface_diamond("abelian"), 2)
@@ -172,6 +175,8 @@ def test_markman_equivariant_validation():
     with pytest.raises(ValueError):
         markman_equivariant(h2, 5)
     with pytest.raises(ValueError):
+        markman_equivariant(h2, 4.0)
+    with pytest.raises(ValueError):
         markman_equivariant(EquivariantDiamond({(3, 3): (1, 0)}), 4)
 
 
@@ -204,10 +209,7 @@ def test_stage_chain_entry_by_entry():
     assert yhat.h(3, 3) == 1656
     assert weight_sums(yhat) == {0: 1, 2: 264, 4: 711, 6: 2016}
 
-    khat = khat_diamond(yhat)
-    assert khat.entries == yhat.entries
-
-    final = og6_diamond(khat)
+    final = og6_diamond(yhat)
     assert final.entries == OG6_ENTRIES
     assert final.complex_dimension == 6
     assert check_diamond(final).ok
@@ -220,7 +222,7 @@ def test_og6_diamond_rejects_undersized_tables():
 
 def test_stage_inputs_reject_upper_degrees():
     too_high = HodgeDiamond({(0, 0): 1, (4, 4): 1})
-    for stage in (ybar_invariants, yhat_invariants, khat_diamond):
+    for stage in (ybar_invariants, yhat_invariants, og6_diamond):
         with pytest.raises(ValueError):
             stage(too_high)
 
@@ -331,8 +333,17 @@ def test_corrupted_incidence_row_detected():
 
 
 def test_mismatched_euler_input_rejected():
-    with pytest.raises(ConsistencyError):
-        run_full_pipeline(b2_og6=8, chi_top=1928)
+    # 1921 leaves the Betti system without an integral solution; 1928
+    # solves it with b4 = 200, which the derived table contradicts.
+    for chi in (1921, 1928):
+        with pytest.raises(ConsistencyError, match="cross-validation"):
+            run_full_pipeline(NamedConstants(euler_characteristic=chi))
+
+
+def test_perturbed_b2_detected():
+    for b2 in (7, 9):
+        with pytest.raises(ConsistencyError, match="cross-validation"):
+            run_full_pipeline(NamedConstants(b2=b2))
 
 
 def test_euler_bookkeeping_gap():
@@ -347,8 +358,8 @@ def test_euler_bookkeeping_gap():
 @pytest.mark.parametrize("b2", [3, 7, 8, 23])
 def test_dual_degree_route_agrees(b2):
     y_inv = stage_4fin_invariants(b2)
-    chain = og6_diamond(khat_diamond(yhat_invariants(ybar_invariants(y_inv))))
-    assert og6_via_dual_degrees(b2) == chain
+    chain = og6_diamond(yhat_invariants(ybar_invariants(y_inv)))
+    assert og6_via_dual_degrees(NamedConstants(b2=b2)) == chain
 
 
 def test_dual_degree_route_matches_pipeline_default():

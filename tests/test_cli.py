@@ -75,12 +75,19 @@ def test_og6_latex_output():
     assert "% Derivation trace:" in proc.stdout
 
 
-def test_og6_rejects_constant_flags():
-    # b2 and chi are named constants of the derivation, not options.
-    proc = run_cli("og6", "--b2", "8")
+def test_og6_rejects_impossible_euler_characteristic():
+    # b2 and chi are named constants of the derivation, not options, so
+    # any attempt to pass them is a usage error.
+    proc = run_cli("og6", "--b2", "8", "--chi", "1921")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_og6_rejects_bad_b2():
+    proc = run_cli("og6", "--b2", "2")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
 
 
 def test_og6_corrupted_constant_exits_1(monkeypatch, capsys):

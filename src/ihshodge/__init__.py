@@ -11,124 +11,25 @@ The package provides four layers:
   on surfaces via Goettsche's product formula,
 * :mod:`ihshodge.pipeline`: the derivation of the OG6 Hodge diamond
   through a traced chain of blow-up and quotient corrections.
+
+The package namespace re-exports only the entry points listed in
+``__all__``; every other name is imported from its submodule.
 """
 
-from .diamond import (
-    BettiVector,
-    CheckReport,
-    ConsistencyError,
-    HodgeDiamond,
-    betti,
-    check_diamond,
-    chi_p,
-    complete_by_duality,
-    direct_sum,
-    euler_characteristic,
-    ext_power,
-    make_diamond,
-    salamon_residual,
-    solve_betti_dim6,
-    sym_power,
-    tate_twist,
-    tensor,
-    weight_sums,
-)
-from .equivariant import (
-    EquivariantDiamond,
-    eq_ext_power,
-    eq_sum,
-    eq_sym_power,
-    eq_tate_twist,
-    eq_tensor,
-    forget,
-    invariant_part,
-)
-from .goettsche import (
-    DEFAULT_MAX_N,
-    TruncatedSeries3,
-    abelian_fourfold_diamond,
-    factor_power,
-    hilbert_scheme_diamond,
-    series_mul,
-    surface_diamond,
-)
-from .pipeline import (
-    DEFAULT_CONSTANTS,
-    ChernReport,
-    NamedConstants,
-    PipelineResult,
-    PipelineTrace,
-    STAGE_ORDER,
-    TraceStep,
-    blowup_diamond,
-    chern_numbers,
-    delta_bar_diamond,
-    derive_invariant_h2,
-    incidence_swap_invariants,
-    markman_assembly,
-    markman_equivariant,
-    og6_diamond,
-    og6_via_dual_degrees,
-    quadric3_diamond,
-    run_full_pipeline,
-    ybar_invariants,
-    yhat_invariants,
-)
+from .diamond import ConsistencyError, HodgeDiamond, tensor
+from .equivariant import EquivariantDiamond
+from .goettsche import TruncatedSeries3, hilbert_scheme_diamond
+from .pipeline import NamedConstants, run_full_pipeline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiVector",
-    "CheckReport",
-    "ChernReport",
     "ConsistencyError",
-    "DEFAULT_CONSTANTS",
-    "DEFAULT_MAX_N",
     "EquivariantDiamond",
     "HodgeDiamond",
     "NamedConstants",
-    "PipelineResult",
-    "PipelineTrace",
-    "STAGE_ORDER",
-    "TraceStep",
     "TruncatedSeries3",
-    "abelian_fourfold_diamond",
-    "betti",
-    "blowup_diamond",
-    "check_diamond",
-    "chern_numbers",
-    "chi_p",
-    "complete_by_duality",
-    "delta_bar_diamond",
-    "derive_invariant_h2",
-    "direct_sum",
-    "eq_ext_power",
-    "eq_sum",
-    "eq_sym_power",
-    "eq_tate_twist",
-    "eq_tensor",
-    "euler_characteristic",
-    "ext_power",
-    "factor_power",
-    "forget",
     "hilbert_scheme_diamond",
-    "incidence_swap_invariants",
-    "invariant_part",
-    "make_diamond",
-    "markman_assembly",
-    "markman_equivariant",
-    "og6_diamond",
-    "og6_via_dual_degrees",
-    "quadric3_diamond",
     "run_full_pipeline",
-    "salamon_residual",
-    "series_mul",
-    "solve_betti_dim6",
-    "surface_diamond",
-    "sym_power",
-    "tate_twist",
     "tensor",
-    "weight_sums",
-    "ybar_invariants",
-    "yhat_invariants",
 ]

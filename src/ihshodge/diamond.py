@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 __all__ = [
     "Bidegree",
@@ -43,7 +43,6 @@ __all__ = [
     "direct_sum",
     "euler_characteristic",
     "ext_power",
-    "make_diamond",
     "salamon_residual",
     "solve_betti_dim6",
     "sym_power",
@@ -233,17 +232,6 @@ class HodgeDiamond:
     @classmethod
     def from_json(cls, text: str) -> "HodgeDiamond":
         return cls.from_json_dict(json.loads(text))
-
-
-def make_diamond(dim_opt: int | None,
-                 entries: Sequence[tuple[int, int, int]]) -> HodgeDiamond:
-    """Build a diamond from (p, q, value) triples, rejecting duplicates."""
-    table: dict[Bidegree, int] = {}
-    for p, q, value in entries:
-        if (p, q) in table:
-            raise ValueError(f"duplicate entry at ({p},{q})")
-        table[(p, q)] = value
-    return HodgeDiamond(table, complex_dimension=dim_opt)
 
 
 # ---------------------------------------------------------------------------

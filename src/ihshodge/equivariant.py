@@ -20,7 +20,6 @@ exploits as a cross-check against the plain table algebra.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator, Mapping
 
 from .diamond import (
@@ -124,33 +123,6 @@ class EquivariantDiamond:
             return f"EquivariantDiamond({{{body}}})"
         return (f"EquivariantDiamond({{{body}}}, "
                 f"complex_dimension={self.complex_dimension})")
-
-    def to_json_dict(self) -> dict:
-        return {"entries": [[p, q, pl, mi] for p, q, pl, mi in self.items()]}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EquivariantDiamond":
-        if not isinstance(data, Mapping) or "entries" not in data:
-            raise ValueError("equivariant JSON must be an object with entries")
-        raw = data["entries"]
-        if not isinstance(raw, list):
-            raise ValueError("equivariant JSON entries must be a list")
-        table: dict[Bidegree, EigenPair] = {}
-        for item in raw:
-            if not isinstance(item, list) or len(item) != 4:
-                raise ValueError(f"malformed equivariant entry {item!r}")
-            p, q, plus, minus = item
-            if (p, q) in table:
-                raise ValueError(f"duplicate equivariant entry at ({p},{q})")
-            table[(p, q)] = (plus, minus)
-        return cls(table)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EquivariantDiamond":
-        return cls.from_json_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

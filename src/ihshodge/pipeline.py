@@ -33,6 +33,7 @@ bidegrees to confirm that this completion is consistent.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,13 +47,9 @@ from .diamond import (
     check_diamond,
     chi_p,
     complete_by_duality,
-    direct_sum,
     euler_characteristic,
-    ext_power,
     salamon_residual,
     solve_betti_dim6,
-    sym_power,
-    tate_twist,
 )
 from .equivariant import (
     EquivariantDiamond,
@@ -60,6 +57,7 @@ from .equivariant import (
     eq_sum,
     eq_sym_power,
     eq_tate_twist,
+    forget,
     invariant_part,
 )
 from .goettsche import abelian_fourfold_diamond
@@ -76,7 +74,6 @@ __all__ = [
     "chern_numbers",
     "delta_bar_diamond",
     "derive_invariant_h2",
-    "incidence_swap_invariants",
     "markman_assembly",
     "markman_equivariant",
     "og6_diamond",
@@ -96,17 +93,6 @@ def quadric3_diamond() -> HodgeDiamond:
     return HodgeDiamond({(k, k): 1 for k in range(4)}, complex_dimension=3)
 
 
-def incidence_swap_invariants() -> tuple[int, int, int]:
-    """Swap-invariant dimensions of H^0, H^2, H^4 of the incidence variety.
-
-    The incidence divisor I in P(V) x P(V*) carries the swap action
-    induced by a symplectic form on V; in degree 2k <= 4 its cohomology
-    is spanned by the restricted monomials h1^a h2^b with a + b = k, and
-    the invariant dimension is the number of swap orbits: 1, 1, 2.
-    """
-    return (1, 1, 2)
-
-
 @dataclass(frozen=True)
 class NamedConstants:
     """The geometric constants every correction is derived from.
@@ -116,8 +102,12 @@ class NamedConstants:
       exceptional components in each blow-up step.
     * ``quadric3``: the diamond of the three-dimensional quadric, the
       center blown up when comparing with the OG6 manifold itself.
-    * ``incidence_swap_row``: invariant dimensions of the incidence
-      variety under the swap, see :func:`incidence_swap_invariants`.
+    * ``incidence_swap_row``: swap-invariant dimensions of H^0, H^2,
+      H^4 of the incidence divisor I in P(V) x P(V*), whose swap action
+      is induced by a symplectic form on V.  In degree 2k <= 4 the
+      cohomology of I is spanned by the restricted monomials h1^a h2^b
+      with a + b = k, and the invariant dimension is the number of swap
+      orbits: 1, 1, 2.
     * ``b2`` and ``euler_characteristic``: the second Betti number 8 and
       the topological Euler characteristic 1920 of OG6, which fix the
       invariant part of H^2 and the Salamon and Euler cross-check.
@@ -125,8 +115,7 @@ class NamedConstants:
 
     two_torsion_count: int = 256
     quadric3: HodgeDiamond = field(default_factory=quadric3_diamond)
-    incidence_swap_row: tuple[int, int, int] = field(
-        default_factory=incidence_swap_invariants)
+    incidence_swap_row: tuple[int, int, int] = (1, 1, 2)
     b2: int = 8
     euler_characteristic: int = 1920
 
@@ -313,23 +302,22 @@ def markman_equivariant(h2: EquivariantDiamond,
     return eq_sum(eq_sum(eq_sym_power(h2, 3), twisted), trivial)
 
 
+def _lower_cohomology(h2: EquivariantDiamond) -> EquivariantDiamond:
+    """H^0 .. H^6 of a K3^[3]-type manifold from its weight 2 table."""
+    full = eq_sum(EquivariantDiamond({(0, 0): (1, 0)}), h2)
+    full = eq_sum(full, markman_equivariant(h2, 4))
+    return eq_sum(full, markman_equivariant(h2, 6))
+
+
 def markman_assembly(h2_total: HodgeDiamond) -> HodgeDiamond:
     """Full K3^[3]-type diamond assembled from a plain weight 2 table.
 
-    The non-equivariant counterpart of :func:`markman_equivariant`, used
-    to cross-check the Goettsche series route on K3^[3] itself.
+    The weight 2 table is read as carrying the trivial involution, so
+    this is :func:`markman_equivariant` with the involution forgotten;
+    it cross-checks the Goettsche series route on K3^[3] itself.
     """
-    for p, q, _ in h2_total.items():
-        if p + q != 2:
-            raise ValueError("markman_assembly expects a weight 2 table")
-    h2 = h2_total.as_abstract()
-    w4 = direct_sum(sym_power(h2, 2), tate_twist(h2, 1))
-    w6 = direct_sum(direct_sum(sym_power(h2, 3),
-                               tate_twist(ext_power(h2, 2), 1)),
-                    HodgeDiamond({(3, 3): 1}))
-    lower = direct_sum(direct_sum(HodgeDiamond({(0, 0): 1}), h2),
-                       direct_sum(w4, w6))
-    return complete_by_duality(lower, 6)
+    h2 = EquivariantDiamond({(p, q): (v, 0) for p, q, v in h2_total.items()})
+    return complete_by_duality(forget(_lower_cohomology(h2)), 6)
 
 
 def _require_lower_half(d: HodgeDiamond, op: str) -> None:
@@ -466,11 +454,13 @@ def chern_numbers(d: HodgeDiamond) -> ChernReport:
 
 
 def _assemble_invariants(constants: NamedConstants) -> HodgeDiamond:
-    h2 = derive_invariant_h2(constants.b2)
-    full = eq_sum(EquivariantDiamond({(0, 0): (1, 0)}), h2)
-    full = eq_sum(full, markman_equivariant(h2, 4))
-    full = eq_sum(full, markman_equivariant(h2, 6))
-    return invariant_part(full)
+    try:
+        h2 = derive_invariant_h2(constants.b2)
+    except ValueError as exc:
+        raise ConsistencyError(
+            f"cross-validation mismatch: the named b2={constants.b2!r} admits "
+            f"no eigenspace split of H^2: {exc}") from exc
+    return invariant_part(_lower_cohomology(h2))
 
 
 def run_full_pipeline(constants: NamedConstants = DEFAULT_CONSTANTS
@@ -528,13 +518,13 @@ def og6_via_dual_degrees(constants: NamedConstants = DEFAULT_CONSTANTS
     """Re-derive the OG6 diamond applying the corrections at dual degrees.
 
     Completes the stage 4fin invariant table by duality first and then
-    applies every blow-up correction of the chain at all bidegrees, the
-    mirrored ones included.  Agreement with :func:`run_full_pipeline`
-    validates that duality completion commutes with each correction.
+    applies the summed blow-up corrections of the chain at all
+    bidegrees, the mirrored ones included.  Agreement with
+    :func:`run_full_pipeline` validates that duality completion commutes
+    with each correction.
     """
+    corrections = Counter(_ybar_corrections(constants))
+    corrections.update(_yhat_corrections(constants))
+    corrections.update(_quadric_corrections(constants))
     table = complete_by_duality(_assemble_invariants(constants), 6)
-    for corrections in (_ybar_corrections(constants),
-                        _yhat_corrections(constants),
-                        _quadric_corrections(constants)):
-        table = _apply_corrections(table, corrections, 6)
-    return table
+    return _apply_corrections(table, corrections, 6)

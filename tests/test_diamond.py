@@ -17,7 +17,6 @@ from ihshodge.diamond import (
     direct_sum,
     euler_characteristic,
     ext_power,
-    make_diamond,
     salamon_residual,
     solve_betti_dim6,
     sym_power,
@@ -68,17 +67,6 @@ def test_entries_outside_bounds_rejected():
         HodgeDiamond({(3, 0): 1}, complex_dimension=2)
     with pytest.raises(ValueError):
         HodgeDiamond({(-1, 0): 1})
-
-
-def test_make_diamond_rejects_duplicates():
-    with pytest.raises(ValueError):
-        make_diamond(2, [(1, 1, 3), (1, 1, 4)])
-
-
-def test_make_diamond_builds_og6():
-    d = make_diamond(6, [(p, q, v) for (p, q), v in sorted(OG6_TABLE.items())])
-    assert d == og6()
-    assert d.h(3, 3) == 1144
 
 
 def test_dimension_must_be_nonnegative_integer():

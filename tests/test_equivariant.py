@@ -55,12 +55,6 @@ def test_invalid_entries_rejected(entries, dim):
         EquivariantDiamond(entries, complex_dimension=dim)
 
 
-def test_json_round_trip():
-    assert EquivariantDiamond.from_json(H2_SPLIT.to_json()) == H2_SPLIT
-    assert H2_SPLIT.to_json_dict() == {
-        "entries": [[0, 2, 1, 0], [1, 1, 5, 16], [2, 0, 1, 0]]}
-
-
 def test_immutability():
     with pytest.raises(AttributeError):
         H2_SPLIT.entries = {}

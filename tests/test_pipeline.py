@@ -30,7 +30,6 @@ from ihshodge.pipeline import (
     chern_numbers,
     delta_bar_diamond,
     derive_invariant_h2,
-    incidence_swap_invariants,
     markman_assembly,
     markman_equivariant,
     og6_diamond,
@@ -80,8 +79,7 @@ def test_quadric_threefold():
 
 
 def test_incidence_swap_row_matches_orbit_count():
-    assert incidence_swap_invariants() == (1, 1, 2)
-    assert incidence_swap_invariants() == swap_orbit_counts()
+    assert DEFAULT_CONSTANTS.incidence_swap_row == swap_orbit_counts()
     assert DEFAULT_CONSTANTS.incidence_swap_row == (1, 1, 2)
 
 
@@ -341,9 +339,14 @@ def test_mismatched_euler_input_rejected():
 
 
 def test_perturbed_b2_detected():
-    for b2 in (7, 9):
+    # 7 and 9 fail the Salamon and Euler system of the main route; 2 and
+    # 25 leave no eigenspace split of H^2, which both routes reject.
+    for b2 in (2, 7, 9, 25):
         with pytest.raises(ConsistencyError, match="cross-validation"):
             run_full_pipeline(NamedConstants(b2=b2))
+    for b2 in (2, 25):
+        with pytest.raises(ConsistencyError, match="cross-validation.*b2"):
+            og6_via_dual_degrees(NamedConstants(b2=b2))
 
 
 def test_euler_bookkeeping_gap():

@@ -31,7 +31,13 @@ from .equivariant import (
     forget,
     invariant_part,
 )
-from .goettsche import hilbert_scheme_diamond, surface_diamond
+from .goettsche import (
+    TruncatedSeries3,
+    factor_power,
+    hilbert_scheme_diamond,
+    series_mul,
+    surface_diamond,
+)
 from .pipeline import (
     derive_invariant_h2,
     markman_assembly,
@@ -118,10 +124,36 @@ def _suite_duality() -> list[CheckResult]:
 _K3_HILB2_BETTI = (1, 0, 23, 0, 276, 0, 23, 0, 1)
 
 
+def _product_formula_slices(surface: HodgeDiamond,
+                            n: int) -> list[dict[tuple[int, int], int]]:
+    """The t^0..t^n slices of Goettsche's product, multiplied out factor by factor."""
+    max_xy = 2 * n
+    series = TruncatedSeries3.one(max_xy, n)
+    for k in range(1, n + 1):
+        for p, q, h in surface.items():
+            sign = 1 if (p + q) % 2 else -1
+            factor = factor_power((p + k - 1, q + k - 1, k), sign, sign * h,
+                                  max_xy, n)
+            series = series_mul(series, factor)
+    return [series.t_slice(m) for m in range(n + 1)]
+
+
+def _recurrence_matches_product_formula(k3: HodgeDiamond,
+                                        abelian: HodgeDiamond) -> CheckResult:
+    mismatched = []
+    for kind, surface, n in (("k3", k3, 3), ("abelian", abelian, 2)):
+        for m, expected in enumerate(_product_formula_slices(surface, n)):
+            if hilbert_scheme_diamond(surface, m).entries != expected:
+                mismatched.append((kind, m))
+    return _check("goettsche: recurrence matches the product formula",
+                  not mismatched, f"differs on {mismatched}")
+
+
 def _suite_goettsche() -> list[CheckResult]:
     out = []
     k3 = surface_diamond("k3")
     abelian = surface_diamond("abelian")
+    out.append(_recurrence_matches_product_formula(k3, abelian))
     point = surface_diamond("point")
     out.append(_check("goettsche: zero points give a point",
                       hilbert_scheme_diamond(k3, 0) == point,

@@ -3,16 +3,29 @@
 For a smooth projective surface S the generating series of the Hodge
 numbers of the Hilbert schemes S^[n] is the infinite product
 
-    sum_{n>=0} sum_{p,q} h^{p,q}(S^[n]) x^p y^q t^n
-        = prod_{k>=1} prod_{p,q}
-            (1 - (-1)^{p+q} x^{p+k-1} y^{q+k-1} t^k)^{-(-1)^{p+q} h^{p,q}(S)}
+    F = sum_{n>=0} F_n t^n,   F_n = sum_{p,q} h^{p,q}(S^[n]) x^p y^q,
 
-so a class of the surface in even total degree contributes a factor
-(1 - m)^{-h} and a class in odd total degree a factor (1 + m)^{+h},
-with m the displayed monomial.  Truncating at t-degree n only needs the
-factors with k <= n, and every monomial that survives into the t^n slice
-has x- and y-degree at most 2n, so the computation below is a finite
-product of polynomials with integer coefficients.
+    F = prod_{k>=1} prod_{p,q}
+            (1 - e x^{p+k-1} y^{q+k-1} t^k)^{-e h^{p,q}(S)},   e = (-1)^{p+q}.
+
+:func:`hilbert_scheme_diamond` never multiplies this product out.  Its
+logarithmic derivative is a sum of geometric series,
+
+    t d/dt log F = sum_{i>=1} G_i t^i,
+    G_i = sum_{k j = i} k sum_{p,q} e^{j+1} h^{p,q} x^{j(p+k-1)} y^{j(q+k-1)},
+
+so comparing coefficients of t^N in t dF/dt = F * (t d/dt log F) gives
+the recurrence N F_N = sum_{i=1..N} G_i F_{N-i} from F_0 = 1.  Only the
+two-variable slices F_0..F_n are ever built, and each G_i has at most
+|S| d(i) terms.  Every monomial of F_N and of G_N has x- and y-degree at
+most 2N, so a slice is stored as a dict keyed by the packed integer
+a + (2n+1) b: adding keys adds exponents without carries, and no two
+monomials of a slice share a key.
+
+:class:`TruncatedSeries3` with :func:`factor_power` and
+:func:`series_mul` multiply the product out factor by factor.  They are
+the independent referee that ``check --suite goettsche`` compares the
+recurrence against.
 """
 
 from __future__ import annotations
@@ -39,8 +52,6 @@ Exponents = tuple[int, int, int]
 
 def _binomial_any(exponent: int, j: int) -> int:
     """Binomial coefficient C(exponent, j) for an integer of any sign."""
-    if j < 0:
-        raise ValueError("lower index must be nonnegative")
     if exponent >= 0:
         return math.comb(exponent, j)
     return (-1) ** j * math.comb(-exponent + j - 1, j)
@@ -208,13 +219,57 @@ def abelian_fourfold_diamond() -> HodgeDiamond:
 # the Hilbert scheme diamonds
 
 
+def _log_derivative_slices(surface: HodgeDiamond, n: int,
+                           base: int) -> list[dict[int, int]]:
+    """G_0..G_n of t d/dt log F, each keyed by the packed a + base * b."""
+    slices: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        for j in range(1, n // k + 1):
+            g = slices[k * j]
+            for p, q, h in surface.items():
+                sign = -1 if (p + q) % 2 and j % 2 == 0 else 1
+                key = j * (p + k - 1) + base * j * (q + k - 1)
+                g[key] = g.get(key, 0) + sign * k * h
+    return slices
+
+
+def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> dict[int, int]:
+    """F_n by the recurrence N F_N = sum_{i=1..N} G_i F_{N-i}, packed keys."""
+    g = _log_derivative_slices(surface, n, base)
+    f: list[dict[int, int]] = [{0: 1}]
+    for big_n in range(1, n + 1):
+        acc: dict[int, int] = {}
+        get = acc.get
+        for i in range(1, big_n + 1):
+            lower = f[big_n - i]
+            for kg, cg in g[i].items():
+                for kf, cf in lower.items():
+                    key = kg + kf
+                    acc[key] = get(key, 0) + cg * cf
+        # Odd classes cancel many terms; dropping them keeps every later
+        # pass over this slice short.
+        slice_n: dict[int, int] = {}
+        for key, value in acc.items():
+            coeff, remainder = divmod(value, big_n)
+            if remainder:
+                raise ConsistencyError(
+                    f"coefficient {value} at x^{key % base} y^{key // base} "
+                    f"t^{big_n} of t dF/dt is not divisible by {big_n}")
+            if coeff:
+                slice_n[key] = coeff
+        f.append(slice_n)
+    return f[n]
+
+
 def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
                            max_n: int = DEFAULT_MAX_N) -> HodgeDiamond:
     """Hodge diamond of the Hilbert scheme of n points on a surface.
 
-    The default cap of n <= 5 keeps coefficient counts small; pass a
-    larger ``max_n`` to raise it.  A negative coefficient in the t^n
-    slice cannot occur for an actual surface diamond and raises
+    Computed by the recurrence N F_N = sum_i G_i F_{N-i} of the module
+    docstring, on slices keyed by a + (2n+1) b.  The default cap of
+    n <= 5 keeps coefficient counts small; pass a larger ``max_n`` to
+    raise it.  An inexact division by N, or a negative coefficient in
+    the t^n slice, cannot occur for an actual surface diamond and raises
     :class:`ConsistencyError`.
 
     >>> hilbert_scheme_diamond(surface_diamond("k3"), 2).h(2, 2)
@@ -222,21 +277,17 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
     """
     if surface.complex_dimension != 2:
         raise ValueError("the input diamond must have complex dimension 2")
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if not _is_int(max_n) or max_n < 0:
+        raise ValueError(f"max_n must be a nonnegative integer, got {max_n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > max_n:
         raise ValueError(f"n={n} exceeds the configured cap {max_n}")
-    max_xy, max_t = 2 * n, n
-    series = TruncatedSeries3.one(max_xy, max_t)
-    for k in range(1, n + 1):
-        for p, q, h in surface.items():
-            base = (p + k - 1, q + k - 1, k)
-            if (p + q) % 2 == 0:
-                factor = factor_power(base, -1, -h, max_xy, max_t)
-            else:
-                factor = factor_power(base, 1, h, max_xy, max_t)
-            series = series * factor
-    table = series.t_slice(n)
+    base = 2 * n + 1
+    packed = _packed_t_slice(surface, n, base)
+    table = {(key % base, key // base): value for key, value in packed.items()}
     for (a, b), value in table.items():
         if value < 0:
             raise ConsistencyError(

@@ -8,6 +8,7 @@ trivially correct.  The test modules compare the two.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 Bidegree = tuple[int, int]
 
@@ -74,6 +75,49 @@ def naive_truncated_product(a: dict[tuple[int, int, int], int],
             full[key] = full.get(key, 0) + c1 * c2
     return {key: c for key, c in sorted(full.items())
             if c and key[0] <= max_xy and key[1] <= max_xy and key[2] <= max_t}
+
+
+def inverse_eta_power_coefficient(n: int, power: int) -> int:
+    """[t^n] prod_{k>=1} (1 - t^k)^(-power), by repeated geometric series."""
+    series = [1] + [0] * n
+    for k in range(1, n + 1):
+        for _ in range(power):
+            for m in range(k, n + 1):
+                series[m] += series[m - k]
+    return series[n]
+
+
+def goettsche_betti_row(surface_betti: list[int], n: int) -> list[int]:
+    """Betti numbers b_0..b_4n of S^[n] from Goettsche's one-variable product
+
+        sum_n P(S^[n], z) t^n
+            = prod_{k>=1} prod_i (1 - (-1)^i z^(2k-2+i) t^k)^(-(-1)^i b_i(S)).
+    """
+    width = 4 * n + 1
+    series = [[0] * width for _ in range(n + 1)]  # series[m][d]: z^d t^m
+    series[0][0] = 1
+    for k in range(1, n + 1):
+        for i, b in enumerate(surface_betti):
+            if not b:
+                continue
+            d = 2 * k - 2 + i
+            steps = n // k
+            if i % 2 == 0:
+                coeffs = [comb(b + j - 1, j) for j in range(steps + 1)]
+            else:
+                coeffs = [comb(b, j) for j in range(steps + 1)]
+            product = [[0] * width for _ in range(n + 1)]
+            for m in range(n + 1):
+                for e, c in enumerate(series[m]):
+                    if not c:
+                        continue
+                    for j, cj in enumerate(coeffs):
+                        mm, ee = m + j * k, e + j * d
+                        if mm > n or ee >= width:
+                            break
+                        product[mm][ee] += c * cj
+            series = product
+    return series[n]
 
 
 def swap_orbit_counts(max_k: int = 2) -> tuple[int, ...]:

@@ -163,6 +163,14 @@ def test_hilb_rejects_negative_max_n_env():
     assert "configured cap" not in proc.stderr
 
 
+def test_hilb_max_n_env_ceiling():
+    too_big = run_cli("hilb", "--n", "3", env_extra={"HODGE_MAX_N": "31"})
+    assert too_big.returncode == 2
+    assert "HODGE_MAX_N" in too_big.stderr and "30" in too_big.stderr
+    at_ceiling = run_cli("hilb", "--n", "3", env_extra={"HODGE_MAX_N": "30"})
+    assert at_ceiling.returncode == 0, at_ceiling.stderr
+
+
 # ---------------------------------------------------------------------------
 # check
 

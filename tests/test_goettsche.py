@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import naive_truncated_product
+from _oracles import (
+    goettsche_betti_row,
+    inverse_eta_power_coefficient,
+    naive_truncated_product,
+)
+from ihshodge.checks import _product_formula_slices
 from ihshodge.diamond import (
     HodgeDiamond,
     betti,
@@ -234,6 +241,18 @@ def test_hilb_cap_enforced():
     assert hilbert_scheme_diamond(k3, 4, max_n=4).complex_dimension == 8
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_hilb_rejects_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        hilbert_scheme_diamond(surface_diamond("k3"), n)
+
+
+@pytest.mark.parametrize("max_n", [2.5, -1])
+def test_hilb_rejects_bad_max_n(max_n):
+    with pytest.raises(ValueError, match="max_n must be a nonnegative integer"):
+        hilbert_scheme_diamond(surface_diamond("k3"), 2, max_n=max_n)
+
+
 def test_hilb_requires_a_surface():
     with pytest.raises(ValueError):
         hilbert_scheme_diamond(surface_diamond("point"), 2)
@@ -252,3 +271,35 @@ def test_hilb_odd_cohomology_stays_nonnegative():
     assert d.h(1, 1) == 26
     assert d.h(2, 1) == 5
     assert all(value > 0 for _, _, value in d.items())
+
+
+# ---------------------------------------------------------------------------
+# large n against one-variable generating functions
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_k3_hilb_euler_betti_and_salamon(n):
+    d = hilbert_scheme_diamond(surface_diamond("k3"), n, max_n=n)
+    assert euler_characteristic(d) == inverse_eta_power_coefficient(n, 24)
+    assert list(betti(d).b) == goettsche_betti_row([1, 0, 22, 0, 1], n)
+    assert salamon_residual(betti(d).lower_half()) == 0
+    assert check_diamond(d).ok
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_abelian_hilb_betti_numbers(n):
+    d = hilbert_scheme_diamond(surface_diamond("abelian"), n, max_n=n)
+    assert list(betti(d).b) == goettsche_betti_row([1, 4, 6, 4, 1], n)
+    assert check_diamond(d).ok
+
+
+def test_recurrence_matches_product_formula_on_random_surfaces():
+    rng = random.Random(20260)
+    for n in (1, 2, 3, 4, 5, 5):
+        q, pg, h11 = rng.randint(0, 2), rng.randint(0, 4), rng.randint(1, 50)
+        surface = HodgeDiamond({(0, 0): 1, (1, 0): q, (0, 1): q, (2, 0): pg,
+                                (1, 1): h11, (0, 2): pg, (2, 1): q, (1, 2): q,
+                                (2, 2): 1}, complex_dimension=2)
+        for m, expected in enumerate(_product_formula_slices(surface, n)):
+            got = hilbert_scheme_diamond(surface, m)
+            assert got.entries == expected, (surface, m)

@@ -5,8 +5,9 @@ Three subcommands:
 * ``og6``: run the full OG6 derivation and print the diamond, the Betti
   numbers and the Chern numbers (``--trace`` adds the audit trail).
 * ``hilb``: print the diamond of the Hilbert scheme of n points on a K3
-  or abelian surface.  The truncation cap (default 5) can be raised via
-  the ``HODGE_MAX_N`` environment variable, up to 30.
+  or abelian surface.  n is limited to 30, the one limit
+  :data:`~ihshodge.goettsche.DEFAULT_MAX_N`, which keeps every request
+  within a couple of seconds; a larger n exits 2.
 * ``check``: run a named invariant suite and report each check.
 
 Exit codes: 0 on success, 1 when an internal invariant is violated
@@ -19,20 +20,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .checks import run_suite
+from .checks import SUITE_NAMES, run_suite
 from .diamond import ConsistencyError, betti, euler_characteristic
-from .goettsche import DEFAULT_MAX_N, hilbert_scheme_diamond, surface_diamond
+from .goettsche import hilbert_scheme_diamond, surface_diamond
 from .pipeline import run_full_pipeline
 from .render import betti_text, chern_text, diamond_latex, diamond_text, trace_text
 
 __all__ = ["main"]
-
-# abelian^[30] takes about 1.3 s and abelian^[40] about 5 s (CPython 3.11,
-# one core of a shared x86 host), so a larger cap only invites long runs.
-_MAX_N_CEILING = 30
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,9 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="text")
 
     check = sub.add_parser("check", help="run an invariant suite")
-    check.add_argument("--suite",
-                       choices=("all", "salamon", "duality", "goettsche",
-                                "equivariant"),
+    check.add_argument("--suite", choices=("all", *SUITE_NAMES),
                        default="all")
     return parser
 
@@ -96,23 +90,8 @@ def _cmd_og6(args: argparse.Namespace) -> int:
     return 0
 
 
-def _max_n_from_env() -> int:
-    raw = os.environ.get("HODGE_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if not 0 <= value <= _MAX_N_CEILING:
-        raise ValueError(f"HODGE_MAX_N must be an integer from 0 to "
-                         f"{_MAX_N_CEILING}, got {raw!r}")
-    return value
-
-
 def _cmd_hilb(args: argparse.Namespace) -> int:
-    diamond = hilbert_scheme_diamond(surface_diamond(args.surface), args.n,
-                                     max_n=_max_n_from_env())
+    diamond = hilbert_scheme_diamond(surface_diamond(args.surface), args.n)
     if args.format == "json":
         print(diamond.to_json())
         return 0

@@ -488,7 +488,13 @@ def run_full_pipeline(constants: NamedConstants = DEFAULT_CONSTANTS
         TraceStep("Kt-and-Ktt(1)", lower, _corrections_between(yhat, lower)),
         TraceStep("thm:main", diamond, ()),
     ))
+    return PipelineResult(diamond, _cross_validate(diamond, constants),
+                          chern_numbers(diamond), trace)
 
+
+def _cross_validate(diamond: HodgeDiamond,
+                    constants: NamedConstants) -> BettiVector:
+    """Betti numbers of a derived 6-fold, checked against b2 and chi."""
     b2, chi_top = constants.b2, constants.euler_characteristic
     try:
         b4, b6 = solve_betti_dim6(1, b2, chi_top)
@@ -510,7 +516,16 @@ def run_full_pipeline(constants: NamedConstants = DEFAULT_CONSTANTS
     if salamon_residual(vector.lower_half()) != 0:
         raise ConsistencyError("the derived table violates the Salamon "
                                "constraint")
-    return PipelineResult(diamond, vector, chern_numbers(diamond), trace)
+    return vector
+
+
+def _dual_degree_table(constants: NamedConstants) -> HodgeDiamond:
+    """The dual-degree bookkeeping of :func:`og6_via_dual_degrees`, unchecked."""
+    corrections = Counter(_ybar_corrections(constants))
+    corrections.update(_yhat_corrections(constants))
+    corrections.update(_quadric_corrections(constants))
+    table = complete_by_duality(_assemble_invariants(constants), 6)
+    return _apply_corrections(table, corrections, 6)
 
 
 def og6_via_dual_degrees(constants: NamedConstants = DEFAULT_CONSTANTS
@@ -521,10 +536,9 @@ def og6_via_dual_degrees(constants: NamedConstants = DEFAULT_CONSTANTS
     applies the summed blow-up corrections of the chain at all
     bidegrees, the mirrored ones included.  Agreement with
     :func:`run_full_pipeline` validates that duality completion commutes
-    with each correction.
+    with each correction.  The result is cross-validated as in
+    :func:`run_full_pipeline`.
     """
-    corrections = Counter(_ybar_corrections(constants))
-    corrections.update(_yhat_corrections(constants))
-    corrections.update(_quadric_corrections(constants))
-    table = complete_by_duality(_assemble_invariants(constants), 6)
-    return _apply_corrections(table, corrections, 6)
+    diamond = _dual_degree_table(constants)
+    _cross_validate(diamond, constants)
+    return diamond

@@ -164,7 +164,7 @@ def test_criterion_09_duality_and_symmetry():
 
 def test_criterion_10_cli_exit_codes():
     over_cap = subprocess.run(
-        [sys.executable, "-m", "ihshodge", "hilb", "--n", "6"],
+        [sys.executable, "-m", "ihshodge", "hilb", "--n", "31"],
         capture_output=True, text=True)
     assert over_cap.returncode == 2, over_cap.stderr
     suite = subprocess.run(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -13,12 +12,9 @@ from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
 from ihshodge.pipeline import STAGE_ORDER, NamedConstants, run_full_pipeline
 
 
-def run_cli(*argv: str, env_extra: dict[str, str] | None = None):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv: str):
     return subprocess.run([sys.executable, "-m", "ihshodge", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 # ---------------------------------------------------------------------------
@@ -146,29 +142,11 @@ def test_hilb_cap():
     assert run_cli("hilb", "--n", "-1").returncode == 2
 
 
-def test_hilb_cap_override_via_env():
-    ok = run_cli("hilb", "--n", "3", env_extra={"HODGE_MAX_N": "3"})
-    assert ok.returncode == 0
-    blocked = run_cli("hilb", "--n", "3", env_extra={"HODGE_MAX_N": "2"})
-    assert blocked.returncode == 2
-    bad = run_cli("hilb", "--n", "2", env_extra={"HODGE_MAX_N": "many"})
-    assert bad.returncode == 2
-    assert "HODGE_MAX_N" in bad.stderr
-
-
-def test_hilb_rejects_negative_max_n_env():
-    proc = run_cli("hilb", "--n", "0", env_extra={"HODGE_MAX_N": "-3"})
-    assert proc.returncode == 2
-    assert "HODGE_MAX_N" in proc.stderr
-    assert "configured cap" not in proc.stderr
-
-
-def test_hilb_max_n_env_ceiling():
-    too_big = run_cli("hilb", "--n", "3", env_extra={"HODGE_MAX_N": "31"})
-    assert too_big.returncode == 2
-    assert "HODGE_MAX_N" in too_big.stderr and "30" in too_big.stderr
-    at_ceiling = run_cli("hilb", "--n", "3", env_extra={"HODGE_MAX_N": "30"})
-    assert at_ceiling.returncode == 0, at_ceiling.stderr
+def test_hilb_limit_is_thirty():
+    assert run_cli("hilb", "--n", "6").returncode == 0
+    over = run_cli("hilb", "--n", "31")
+    assert over.returncode == 2
+    assert "n=31 exceeds the limit 30" in over.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("golden", sorted(CASES))
-def test_stdout_matches_golden_bytes(golden, monkeypatch, capsys):
-    monkeypatch.delenv("HODGE_MAX_N", raising=False)
+def test_stdout_matches_golden_bytes(golden, capsys):
     assert cli.main(CASES[golden]) == 0
     assert capsys.readouterr().out.encode("utf-8") == \
         (GOLDEN / golden).read_bytes()

@@ -26,6 +26,7 @@ from ihshodge.pipeline import (
     NamedConstants,
     PipelineResult,
     PipelineTrace,
+    _dual_degree_table,
     blowup_diamond,
     chern_numbers,
     delta_bar_diamond,
@@ -339,11 +340,13 @@ def test_mismatched_euler_input_rejected():
 
 
 def test_perturbed_b2_detected():
-    # 7 and 9 fail the Salamon and Euler system of the main route; 2 and
-    # 25 leave no eigenspace split of H^2, which both routes reject.
+    # 7 and 9 fail the Salamon and Euler system; 2 and 25 leave no
+    # eigenspace split of H^2.  Both routes reject all four.
     for b2 in (2, 7, 9, 25):
         with pytest.raises(ConsistencyError, match="cross-validation"):
             run_full_pipeline(NamedConstants(b2=b2))
+        with pytest.raises(ConsistencyError, match="cross-validation"):
+            og6_via_dual_degrees(NamedConstants(b2=b2))
     for b2 in (2, 25):
         with pytest.raises(ConsistencyError, match="cross-validation.*b2"):
             og6_via_dual_degrees(NamedConstants(b2=b2))
@@ -362,7 +365,7 @@ def test_euler_bookkeeping_gap():
 def test_dual_degree_route_agrees(b2):
     y_inv = stage_4fin_invariants(b2)
     chain = og6_diamond(yhat_invariants(ybar_invariants(y_inv)))
-    assert og6_via_dual_degrees(NamedConstants(b2=b2)) == chain
+    assert _dual_degree_table(NamedConstants(b2=b2)) == chain
 
 
 def test_dual_degree_route_matches_pipeline_default():

@@ -19,8 +19,7 @@ package leans on:
 
 Algebraic operations return dimensionless ("abstract") tables, because a
 symmetric power or a twist of manifold cohomology is no longer the full
-cohomology of a manifold.  Use :meth:`HodgeDiamond.with_dimension` to
-stamp a complex dimension back on an assembled table.
+cohomology of a manifold.
 """
 
 from __future__ import annotations
@@ -161,16 +160,6 @@ class HodgeDiamond:
     def total_dimension(self) -> int:
         return sum(self._entries.values())
 
-    def with_dimension(self, n: int) -> "HodgeDiamond":
-        """Return the same table stamped as the diamond of an n-fold."""
-        return HodgeDiamond(self._entries, complex_dimension=n)
-
-    def as_abstract(self) -> "HodgeDiamond":
-        """Return the same table with the complex dimension dropped."""
-        if self._dim is None:
-            return self
-        return HodgeDiamond(self._entries, complex_dimension=None)
-
     # -- value semantics ------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -190,14 +179,6 @@ class HodgeDiamond:
             return f"HodgeDiamond({{{body}}})"
         return f"HodgeDiamond({{{body}}}, complex_dimension={self._dim})"
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other: "HodgeDiamond") -> "HodgeDiamond":
-        return direct_sum(self, other)
-
-    def __mul__(self, other: "HodgeDiamond") -> "HodgeDiamond":
-        return tensor(self, other)
-
     # -- serialization --------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -206,8 +187,8 @@ class HodgeDiamond:
             "entries": [[p, q, v] for p, q, v in self.items()],
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HodgeDiamond":
@@ -221,7 +202,8 @@ class HodgeDiamond:
             raise ValueError("diamond JSON entries must be a list")
         table: dict[Bidegree, int] = {}
         for item in raw:
-            if not isinstance(item, list) or len(item) != 3:
+            if (not isinstance(item, list) or len(item) != 3
+                    or not (_is_int(item[0]) and _is_int(item[1]))):
                 raise ValueError(f"malformed diamond entry {item!r}")
             p, q, v = item
             if (p, q) in table:
@@ -264,12 +246,6 @@ class BettiVector:
         for k, value in enumerate(self.b):
             if not _is_int(value) or value < 0:
                 raise ValueError(f"b_{k} must be a nonnegative integer")
-
-    def __len__(self) -> int:
-        return len(self.b)
-
-    def __getitem__(self, k: int) -> int:
-        return self.b[k]
 
     def lower_half(self) -> "BettiVector":
         """Truncate a manifold vector at its middle degree.
@@ -370,10 +346,6 @@ def tate_twist(d: HodgeDiamond, k: int) -> HodgeDiamond:
 
 
 def _sym_dim(m: int, j: int) -> int:
-    if j == 0:
-        return 1
-    if m == 0:
-        return 0
     return math.comb(m + j - 1, j)
 
 

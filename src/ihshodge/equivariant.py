@@ -50,14 +50,13 @@ EigenPair = tuple[int, int]
 class EquivariantDiamond:
     """Immutable table (p, q) -> (plus, minus) of eigenspace dimensions.
 
-    Stored as the two eigenspace tables V+ and V-, both carrying the
-    optional complex dimension.
+    Stored as the two abstract eigenspace tables V+ and V-; like the
+    results of the table algebra, it carries no complex dimension.
     """
 
     __slots__ = ("_plus", "_minus")
 
-    def __init__(self, entries: Mapping[Bidegree, EigenPair] = (),
-                 complex_dimension: int | None = None):
+    def __init__(self, entries: Mapping[Bidegree, EigenPair] = ()):
         if not isinstance(entries, Mapping):
             entries = dict(entries)
         plus: dict = {}
@@ -68,13 +67,13 @@ class EquivariantDiamond:
                     f"eigenspace dimensions at {key!r} must be an integer "
                     f"pair, got {pair!r}")
             plus[key], minus[key] = pair
-        object.__setattr__(self, "_plus", HodgeDiamond(plus, complex_dimension))
-        object.__setattr__(self, "_minus", HodgeDiamond(minus, complex_dimension))
+        object.__setattr__(self, "_plus", HodgeDiamond(plus))
+        object.__setattr__(self, "_minus", HodgeDiamond(minus))
 
     @classmethod
     def _from_parts(cls, plus: HodgeDiamond,
                     minus: HodgeDiamond) -> "EquivariantDiamond":
-        """Pair two eigenspace tables of the same complex dimension."""
+        """Pair two abstract eigenspace tables."""
         d = object.__new__(cls)
         object.__setattr__(d, "_plus", plus)
         object.__setattr__(d, "_minus", minus)
@@ -84,21 +83,11 @@ class EquivariantDiamond:
         raise AttributeError("EquivariantDiamond is immutable")
 
     @property
-    def complex_dimension(self) -> int | None:
-        return self._plus.complex_dimension
-
-    @property
     def entries(self) -> dict[Bidegree, EigenPair]:
         return {(p, q): (pl, mi) for p, q, pl, mi in self.items()}
 
     def pair(self, p: int, q: int) -> EigenPair:
         return self._plus.h(p, q), self._minus.h(p, q)
-
-    def plus(self, p: int, q: int) -> int:
-        return self._plus.h(p, q)
-
-    def minus(self, p: int, q: int) -> int:
-        return self._minus.h(p, q)
 
     def items(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (p, q, plus, minus) in lexicographic order."""
@@ -119,10 +108,7 @@ class EquivariantDiamond:
 
     def __repr__(self) -> str:
         body = ", ".join(f"({p},{q}): ({pl},{mi})" for p, q, pl, mi in self.items())
-        if self.complex_dimension is None:
-            return f"EquivariantDiamond({{{body}}})"
-        return (f"EquivariantDiamond({{{body}}}, "
-                f"complex_dimension={self.complex_dimension})")
+        return f"EquivariantDiamond({{{body}}})"
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +122,7 @@ def invariant_part(d: EquivariantDiamond) -> HodgeDiamond:
 
 def forget(d: EquivariantDiamond) -> HodgeDiamond:
     """Drop the involution: total dimension plus + minus per bidegree."""
-    total = direct_sum(d._plus, d._minus)
-    return HodgeDiamond._trusted(total._entries, d.complex_dimension)
+    return direct_sum(d._plus, d._minus)
 
 
 # ---------------------------------------------------------------------------

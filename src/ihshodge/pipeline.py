@@ -70,7 +70,6 @@ __all__ = [
     "PipelineTrace",
     "STAGE_ORDER",
     "TraceStep",
-    "blowup_diamond",
     "chern_numbers",
     "delta_bar_diamond",
     "derive_invariant_h2",
@@ -197,37 +196,17 @@ class PipelineResult(NamedTuple):
 # geometric building blocks
 
 
-def blowup_diamond(X: HodgeDiamond, Z: HodgeDiamond,
-                   codim: int) -> HodgeDiamond:
-    """Diamond of the blow-up of X along a center Z of the given codimension.
-
-    Adds h^{p-k,q-k}(Z) for k = 1 .. codim-1 to each entry of X.
-
-    >>> K3 = HodgeDiamond({(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1,
-    ...                    (2, 2): 1}, complex_dimension=2)
-    >>> point = HodgeDiamond({(0, 0): 1}, complex_dimension=0)
-    >>> blowup_diamond(K3, point, 2).h(1, 1)
-    21
-    """
-    if X.complex_dimension is None or Z.complex_dimension is None:
-        raise ValueError("blowup_diamond needs dimensioned diamonds")
-    if not _is_int(codim) or codim < 2:
-        raise ValueError(f"blow-up codimension must be an integer of at "
-                         f"least 2, got {codim!r}")
-    if Z.complex_dimension != X.complex_dimension - codim:
-        raise ValueError(
-            f"center dimension {Z.complex_dimension} does not match "
-            f"codimension {codim} in a {X.complex_dimension}-fold")
-    return _apply_corrections(X, _blowup_classes(Z, codim, 1),
-                              X.complex_dimension)
-
-
 def _blowup_classes(center: HodgeDiamond, codim: int,
                     copies: int) -> dict[Bidegree, int]:
     """The classes that blowing up ``copies`` disjoint copies of a center adds.
 
     At each bidegree (p, q) this is copies * h^{p-k,q-k}(center) summed
     over k = 1 .. codim-1; a negative ``copies`` blows the centers down.
+    Blowing up a K3 surface at a point adds one class at (1, 1):
+
+    >>> point = HodgeDiamond({(0, 0): 1}, complex_dimension=0)
+    >>> _blowup_classes(point, 2, 1)
+    {(1, 1): 1}
     """
     out: dict[Bidegree, int] = {}
     for p, q, value in center.items():

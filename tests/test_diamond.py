@@ -117,6 +117,13 @@ def test_json_parser_rejects_malformed():
     with pytest.raises(ValueError):
         HodgeDiamond.from_json(
             '{"complex_dimension": true, "entries": [[0, 0, 1]]}')
+    for text in ('{"complex_dimension": 2, "entries": [[[0], 0, 1]]}',
+                 '{"complex_dimension": 2, "entries": [[0, {}, 1]]}',
+                 '[[0, 0, 1]]',
+                 '{"complex_dimension": 2, "entries": {"0": 1}}',
+                 '{"complex_dimension": 2, "entries": [[0, 0]]}'):
+        with pytest.raises(ValueError):
+            HodgeDiamond.from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +186,12 @@ def test_direct_sum_adds_entrywise():
     b = HodgeDiamond({(1, 1): 3, (2, 0): 1})
     assert direct_sum(a, b).entries == {(1, 1): 5, (2, 0): 1}
     assert direct_sum(a, HodgeDiamond({})) == a
-    assert a + b == direct_sum(a, b)
 
 
 def test_tensor_with_point_is_identity():
     a = HodgeDiamond({(1, 1): 7, (2, 0): 1})
     unit = HodgeDiamond({(0, 0): 1})
     assert tensor(a, unit) == a
-    assert a * unit == a
 
 
 def test_tensor_abelian_squared_is_binomial_fourfold():
@@ -282,14 +287,15 @@ def test_sum_and_tensor_laws(a, b, c):
 
 @given(table_strategy(ANY_DEGREES), table_strategy(ANY_DEGREES))
 def test_betti_additive(a, b):
-    a6, b6 = a.with_dimension(6), b.with_dimension(6)
-    s6 = direct_sum(a, b).with_dimension(6)
+    a6 = HodgeDiamond(a.entries, complex_dimension=6)
+    b6 = HodgeDiamond(b.entries, complex_dimension=6)
+    s6 = HodgeDiamond(direct_sum(a, b).entries, complex_dimension=6)
     assert betti(s6).b == tuple(x + y for x, y in zip(betti(a6).b, betti(b6).b))
 
 
 @given(table_strategy(ANY_DEGREES))
 def test_chi_p_alternating_sum_is_euler(a):
-    d = a.with_dimension(6)
+    d = HodgeDiamond(a.entries, complex_dimension=6)
     total = sum((-1) ** p * chi_p(d, p) for p in range(7))
     assert total == euler_characteristic(d)
 

@@ -19,6 +19,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,7 +32,9 @@ from .render import betti_text, chern_text, diamond_latex, diamond_text, trace_t
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="ihshodge",
         description="Exact Hodge diamonds of hyperkaehler manifolds.")

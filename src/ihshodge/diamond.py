@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 __all__ = [
     "Bidegree",

@@ -20,7 +20,7 @@ exploits as a cross-check against the plain table algebra.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .diamond import (
     Bidegree,

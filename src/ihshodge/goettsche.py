@@ -31,7 +31,7 @@ recurrence against.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .diamond import ConsistencyError, HodgeDiamond, _is_int
 

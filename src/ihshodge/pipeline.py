@@ -33,6 +33,7 @@ bidegrees to confirm that this completion is consistent.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -110,6 +111,9 @@ class NamedConstants:
     * ``b2`` and ``euler_characteristic``: the second Betti number 8 and
       the topological Euler characteristic 1920 of OG6, which fix the
       invariant part of H^2 and the Salamon and Euler cross-check.
+
+    A constant of the wrong type, such as ``b2=8.0``, raises ``ValueError``
+    here, so equal constants always name the same derivation.
     """
 
     two_torsion_count: int = 256
@@ -117,6 +121,18 @@ class NamedConstants:
     incidence_swap_row: tuple[int, int, int] = (1, 1, 2)
     b2: int = 8
     euler_characteristic: int = 1920
+
+    def __post_init__(self):
+        for name in ("two_torsion_count", "b2", "euler_characteristic"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.quadric3, HodgeDiamond):
+            raise ValueError(f"quadric3 must be a HodgeDiamond, got {self.quadric3!r}")
+        row = tuple(self.incidence_swap_row)
+        if len(row) != 3 or not all(_is_int(v) for v in row):
+            raise ValueError(f"incidence_swap_row must be three integers, got {row!r}")
+        object.__setattr__(self, "incidence_swap_row", row)
 
 
 DEFAULT_CONSTANTS = NamedConstants()
@@ -314,6 +330,9 @@ def _apply_corrections(d: HodgeDiamond, corrections: dict[Bidegree, int],
         if value < 0:
             raise ConsistencyError(
                 f"negative entry {value} at {key} after a blow-up correction")
+        if complex_dimension is not None and max(key) > complex_dimension:
+            raise ConsistencyError(f"a blow-up correction lands at {key}, outside "
+                                   f"the diamond of a {complex_dimension}-fold")
         table[key] = value
     return HodgeDiamond(table, complex_dimension=complex_dimension)
 
@@ -452,7 +471,17 @@ def run_full_pipeline(constants: NamedConstants = DEFAULT_CONSTANTS
     system for the named b2 and Euler characteristic; a mismatch, or a
     system without solution, for example after perturbing one of the
     named constants, raises :class:`ConsistencyError`.
+
+    The result is immutable and shared: equal constants get the same
+    :class:`PipelineResult` object while they are among the 16 most
+    recently used.  Failures are not cached, so corrupted constants
+    raise on every call.
     """
+    return _derive(constants)
+
+
+@functools.lru_cache(maxsize=16)
+def _derive(constants: NamedConstants) -> PipelineResult:
     y_inv = _assemble_invariants(constants)
     ybar = ybar_invariants(y_inv, constants)
     yhat = yhat_invariants(ybar, constants)

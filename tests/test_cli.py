@@ -5,11 +5,17 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from ihshodge import cli
 from ihshodge.diamond import HodgeDiamond
 from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
 from ihshodge.pipeline import STAGE_ORDER, NamedConstants, run_full_pipeline
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv: str):
@@ -178,3 +184,29 @@ def test_check_unknown_suite_is_a_usage_error():
 def test_missing_subcommand_is_a_usage_error():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser and one derivation shared by every call in a process
+
+
+def test_repeated_in_process_calls_match_golden_bytes(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as bad:
+        cli.main(["og6", "--b2", "8"])
+    assert bad.value.code == 2
+    capsys.readouterr()
+    og6_cases = [
+        (["og6"], "og6.txt"),
+        (["og6", "--trace"], "og6_trace.txt"),
+        (["og6", "--format", "json", "--trace"], "og6_json_trace.json"),
+        (["og6", "--format", "latex", "--trace"], "og6_latex_trace.tex"),
+    ]
+    cases = (og6_cases
+             + [(["hilb", "--n", "5", "--format", "json"], "hilb_n5_k3.json")]
+             + og6_cases[::-1]
+             + [(["check", "--suite", "all"], "check_all.txt")])
+    for argv, golden in cases:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == \
+            (GOLDEN / golden).read_bytes(), argv

@@ -308,6 +308,48 @@ def test_trace_rejects_wrong_stage_order():
         trace.step("4fin-bis")
 
 
+def test_pipeline_result_is_shared_per_constants():
+    assert run_full_pipeline() is run_full_pipeline()
+    assert run_full_pipeline(NamedConstants()) is run_full_pipeline()
+
+
+@pytest.mark.parametrize("perturbed", [
+    NamedConstants(two_torsion_count=255), NamedConstants(b2=7),
+    NamedConstants(b2=9), NamedConstants(euler_characteristic=1921)])
+def test_perturbed_constants_raise_on_every_call(perturbed):
+    run_full_pipeline()
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            run_full_pipeline(perturbed)
+
+
+@pytest.mark.parametrize("fields", [
+    {"b2": 8.0}, {"b2": True}, {"two_torsion_count": 256.0},
+    {"euler_characteristic": 1920.0}, {"incidence_swap_row": (1, 1, 2, 3)},
+    {"incidence_swap_row": (1, 1, 2.0)}, {"quadric3": {(0, 0): 1}}], ids=str)
+def test_named_constants_reject_wrong_types(fields):
+    with pytest.raises(ValueError):
+        NamedConstants(**fields)
+
+
+def test_named_constants_store_the_incidence_row_as_a_tuple():
+    constants = NamedConstants(incidence_swap_row=[1, 1, 2])
+    assert constants == DEFAULT_CONSTANTS
+    assert constants.incidence_swap_row == (1, 1, 2)
+    assert run_full_pipeline(constants) is run_full_pipeline()
+
+
+def test_correction_outside_the_dimension_is_a_consistency_error():
+    # a 5-fold center pushes its blow-up classes up to (7, 7)
+    quadric5 = HodgeDiamond({(k, k): 1 for k in range(6)}, complex_dimension=5)
+    bad = NamedConstants(two_torsion_count=-1, quadric3=quadric5)
+    for route in (run_full_pipeline, og6_via_dual_degrees):
+        with pytest.raises(ConsistencyError):
+            route(bad)
+    with pytest.raises(ConsistencyError, match="outside"):
+        _apply_corrections(HodgeDiamond({}, complex_dimension=2), {(3, 0): 1}, 2)
+
+
 def test_corrupted_torsion_count_detected():
     with pytest.raises(ConsistencyError, match="cross-validation"):
         run_full_pipeline(constants=NamedConstants(two_torsion_count=255))

@@ -13,13 +13,14 @@ The package provides four layers:
   through a traced chain of blow-up and quotient corrections.
 
 The package namespace re-exports only the entry points listed in
-``__all__``; every other name is imported from its submodule.
+``__all__``; every other name is imported from its submodule.  Importing
+the package loads only :mod:`ihshodge.diamond`; the other entry points
+load their submodule on first use.
 """
 
+from importlib import import_module
+
 from .diamond import ConsistencyError, HodgeDiamond, tensor
-from .equivariant import EquivariantDiamond
-from .goettsche import TruncatedSeries3, hilbert_scheme_diamond
-from .pipeline import NamedConstants, run_full_pipeline
 
 __version__ = "0.1.0"
 
@@ -33,3 +34,14 @@ __all__ = [
     "run_full_pipeline",
     "tensor",
 ]
+
+_SUBMODULE = {"EquivariantDiamond": "equivariant", "NamedConstants": "pipeline",
+              "TruncatedSeries3": "goettsche", "hilbert_scheme_diamond": "goettsche",
+              "run_full_pipeline": "pipeline"}
+
+
+def __getattr__(name):
+    # never cached here, so the package hands out what the submodule binds now
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)

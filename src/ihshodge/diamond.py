@@ -24,10 +24,8 @@ cohomology of a manifold.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 
 __all__ = [
     "Bidegree",
@@ -64,7 +62,7 @@ class ConsistencyError(RuntimeError):
 
 def _is_int(value) -> bool:
     """True for an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def _validated_entries(entries: Mapping[Bidegree, int],
@@ -72,7 +70,7 @@ def _validated_entries(entries: Mapping[Bidegree, int],
     table: dict[Bidegree, int] = {}
     for key, value in entries.items():
         if (not isinstance(key, tuple) or len(key) != 2
-                or not all(_is_int(c) for c in key)):
+                or not (_is_int(key[0]) and _is_int(key[1]))):
             raise ValueError(f"bidegree keys must be integer pairs, got {key!r}")
         p, q = key
         if p < 0 or q < 0:
@@ -188,6 +186,7 @@ class HodgeDiamond:
         }
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
@@ -213,6 +212,7 @@ class HodgeDiamond:
 
     @classmethod
     def from_json(cls, text: str) -> "HodgeDiamond":
+        import json
         return cls.from_json_dict(json.loads(text))
 
 
@@ -220,8 +220,34 @@ class HodgeDiamond:
 # numerical invariants
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class _Record:
+    """Immutable value over its ``__slots__``, equal only within its class."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class BettiVector(_Record):
     """A row b_0 .. b_{2n} of Betti numbers.
 
     :func:`betti` produces manifold vectors, where ``n`` is the complex
@@ -232,20 +258,19 @@ class BettiVector:
     the former into the latter.
     """
 
-    n: int
-    b: tuple[int, ...]
+    __slots__ = ("n", "b")
 
-    def __post_init__(self):
-        if not _is_int(self.n) or self.n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
-        object.__setattr__(self, "b", tuple(self.b))
-        if len(self.b) != 2 * self.n + 1:
-            raise ValueError(
-                f"expected {2 * self.n + 1} Betti numbers for n={self.n}, "
-                f"got {len(self.b)}")
-        for k, value in enumerate(self.b):
+    def __init__(self, n: int, b: tuple[int, ...]):
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        b = tuple(b)
+        if len(b) != 2 * n + 1:
+            raise ValueError(f"expected {2 * n + 1} Betti numbers for n={n}, got {len(b)}")
+        for k, value in enumerate(b):
             if not _is_int(value) or value < 0:
                 raise ValueError(f"b_{k} must be a nonnegative integer")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
 
     def lower_half(self) -> "BettiVector":
         """Truncate a manifold vector at its middle degree.
@@ -279,8 +304,8 @@ def chi_p(d: HodgeDiamond, p: int) -> int:
     n = d.complex_dimension
     if n is None:
         raise ValueError("chi_p needs a diamond with a complex dimension")
-    if not 0 <= p <= n:
-        raise ValueError(f"p={p} out of range for a {n}-fold")
+    if not _is_int(p) or not 0 <= p <= n:
+        raise ValueError(f"p={p!r} out of range for a {n}-fold")
     return sum((-1) ** q * d.h(p, q) for q in range(n + 1))
 
 
@@ -371,17 +396,17 @@ def _graded_powers(d: HodgeDiamond, k: int, block,
     acc: list[dict[Bidegree, int]] = [{} for _ in range(k + 1)]
     acc[0][(0, 0)] = 1
     for (p, q), m in d._entries.items():
-        nxt = [dict(t) for t in acc]
-        for j in range(1, k + 1):
-            bd = block(m, j)
-            if not bd:
-                continue
-            for used in range(k - j + 1):
-                for (ap, aq), av in acc[used].items():
+        # filling from the top, acc[total - j] does not hold this piece yet
+        blocks = [block(m, j) for j in range(k + 1)]
+        for total in range(k, 0, -1):
+            tgt = acc[total]
+            for j in range(1, total + 1):
+                bd = blocks[j]
+                if not bd:
+                    continue
+                for (ap, aq), av in acc[total - j].items():
                     key = (ap + j * p, aq + j * q)
-                    tgt = nxt[used + j]
                     tgt[key] = tgt.get(key, 0) + av * bd
-        acc = nxt
     return acc
 
 
@@ -439,6 +464,8 @@ def solve_betti_dim6(b0: int, b2: int, chi_top: int) -> tuple[int, int]:
     >>> solve_betti_dim6(1, 8, 1920)
     (199, 1504)
     """
+    if not (_is_int(b0) and _is_int(b2) and _is_int(chi_top)):
+        raise ValueError(f"b0, b2 and chi must be integers, got {(b0, b2, chi_top)!r}")
     b4, remainder = divmod(chi_top - 32 * b2 - 72 * b0, 8)
     if remainder:
         raise ValueError(
@@ -454,11 +481,13 @@ def solve_betti_dim6(b0: int, b2: int, chi_top: int) -> tuple[int, int]:
 # structural checks
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Violations found by :func:`check_diamond`; empty means pass."""
 
-    violations: tuple[str, ...]
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[str, ...]):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from _oracles import ext_power_oracle, sym_power_oracle
 from ihshodge.diamond import (
     BettiVector,
+    CheckReport,
     ConsistencyError,
     HodgeDiamond,
     betti,
@@ -161,6 +162,12 @@ def test_chi_p_range_checked():
         chi_p(og6(), 7)
     with pytest.raises(ValueError):
         chi_p(og6(), -1)
+
+
+def test_chi_p_rejects_non_integer_p():
+    for p in (True, 1.0):
+        with pytest.raises(ValueError):
+            chi_p(og6(), p)
 
 
 def test_euler_characteristic():
@@ -323,13 +330,37 @@ def test_sym_plus_ext_squares(a):
 
 
 def test_betti_vector_validation():
-    with pytest.raises(ValueError):
-        BettiVector(2, (1, 0, 23))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        BettiVector(-1, (1, 0))
+    with pytest.raises(ValueError, match="expected 5 Betti numbers for n=2, got 3"):
+        BettiVector(2, [1, 0, 23])
+    with pytest.raises(ValueError, match="b_1 must be a nonnegative integer"):
         BettiVector(1, (1, -1, 1))
     for n, row in ((1.0, (1, 0, 1)), (True, (1, 0, 1)), (1, (1, True, 1))):
         with pytest.raises(ValueError):
             BettiVector(n, row)
+
+
+def test_betti_vector_value_semantics():
+    v = BettiVector(2, (1, 0, 23, 0, 276))
+    assert repr(v) == "BettiVector(n=2, b=(1, 0, 23, 0, 276))"
+    w = BettiVector(n=2, b=[1, 0, 23, 0, 276])
+    assert w.b == (1, 0, 23, 0, 276)
+    assert w == v and hash(w) == hash(v) == hash((2, (1, 0, 23, 0, 276)))
+    assert v != BettiVector(2, (1, 0, 22, 0, 276))
+    assert v != (2, (1, 0, 23, 0, 276))
+
+    class Sub(BettiVector):
+        pass
+
+    assert v != Sub(2, (1, 0, 23, 0, 276))
+    with pytest.raises(AttributeError):
+        v.n = 3
+    with pytest.raises(AttributeError):
+        v.b = (1,)
+    with pytest.raises(AttributeError):
+        del v.n
+    assert v.n == 2 and v.b == (1, 0, 23, 0, 276)
 
 
 def test_lower_half():
@@ -372,6 +403,12 @@ def test_solve_betti_dim6_rejects_bad_inputs():
         solve_betti_dim6(1, 8, 0)
 
 
+def test_solve_betti_dim6_rejects_non_integers():
+    for args in ((1, 8.0, 1920), (True, 8, 1920), (1, 8, 1920.0), (1, False, 1920)):
+        with pytest.raises(ValueError):
+            solve_betti_dim6(*args)
+
+
 # ---------------------------------------------------------------------------
 # structural checks
 
@@ -391,6 +428,19 @@ def test_check_diamond_reports_duality_violation():
     d = HodgeDiamond({(0, 0): 2, (1, 1): 1}, complex_dimension=1)
     report = check_diamond(d)
     assert any("duality" in v for v in report.violations)
+
+
+def test_check_report_value_semantics():
+    report = CheckReport(())
+    assert report.ok and repr(report) == "CheckReport(violations=())"
+    failed = CheckReport(violations=("hodge symmetry broken",))
+    assert not failed.ok
+    assert failed == CheckReport(("hodge symmetry broken",)) != report
+    assert hash(report) == hash(CheckReport(())) == hash(((),))
+    assert report != ()
+    with pytest.raises(AttributeError):
+        report.violations = ("x",)
+    assert check_diamond(og6()) == report
 
 
 def test_check_diamond_needs_dimension():

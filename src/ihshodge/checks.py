@@ -9,11 +9,11 @@ string; the command line tool prints one line per check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .diamond import (
     BettiVector,
     HodgeDiamond,
+    _Record,
     betti,
     check_diamond,
     complete_by_duality,
@@ -51,11 +51,8 @@ __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 SUITE_NAMES = ("salamon", "duality", "goettsche", "equivariant")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(_Record):
+    __slots__ = ("name", "ok", "detail")
 
 
 def _check(name: str, ok: bool, detail: str = "") -> CheckResult:

@@ -87,7 +87,43 @@ def _validated_entries(entries: Mapping[Bidegree, int],
     return dict(sorted(table.items()))
 
 
-class HodgeDiamond:
+class _Record:
+    """The one immutable value base of the package.
+
+    The positional ``__init__`` binds the ``__slots__`` in order.  Values
+    are equal only within one class, hash as their field tuple and refuse
+    assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class HodgeDiamond(_Record):
     """Immutable table (p, q) -> h^{p,q}, with an optional complex dimension.
 
     Zero entries are dropped on construction, so two diamonds compare
@@ -134,9 +170,6 @@ class HodgeDiamond:
         object.__setattr__(d, "_entries",
                            {key: v for key, v in sorted(table.items()) if v})
         return d
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HodgeDiamond is immutable")
 
     @property
     def complex_dimension(self) -> int | None:
@@ -220,33 +253,6 @@ class HodgeDiamond:
 # numerical invariants
 
 
-class _Record:
-    """Immutable value over its ``__slots__``, equal only within its class."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
 class BettiVector(_Record):
     """A row b_0 .. b_{2n} of Betti numbers.
 
@@ -269,8 +275,7 @@ class BettiVector(_Record):
         for k, value in enumerate(b):
             if not _is_int(value) or value < 0:
                 raise ValueError(f"b_{k} must be a nonnegative integer")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "b", b)
+        super().__init__(n, b)
 
     def lower_half(self) -> "BettiVector":
         """Truncate a manifold vector at its middle degree.
@@ -527,6 +532,8 @@ def complete_by_duality(d: HodgeDiamond, n: int) -> HodgeDiamond:
     present above the middle must agree with its mirror, otherwise a
     :class:`ConsistencyError` is raised.
     """
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     table: dict[Bidegree, int] = {}
     upper: dict[Bidegree, int] = {}
     for p, q, value in d.items():

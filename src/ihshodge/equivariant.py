@@ -25,6 +25,7 @@ from collections.abc import Iterator, Mapping
 from .diamond import (
     Bidegree,
     HodgeDiamond,
+    _Record,
     _convolve,
     _ext_dim,
     _graded_powers,
@@ -47,7 +48,7 @@ __all__ = [
 EigenPair = tuple[int, int]
 
 
-class EquivariantDiamond:
+class EquivariantDiamond(_Record):
     """Immutable table (p, q) -> (plus, minus) of eigenspace dimensions.
 
     Stored as the two abstract eigenspace tables V+ and V-; like the
@@ -79,9 +80,6 @@ class EquivariantDiamond:
         object.__setattr__(d, "_minus", minus)
         return d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EquivariantDiamond is immutable")
-
     @property
     def entries(self) -> dict[Bidegree, EigenPair]:
         return {(p, q): (pl, mi) for p, q, pl, mi in self.items()}
@@ -94,14 +92,6 @@ class EquivariantDiamond:
         plus, minus = self._plus, self._minus
         for p, q in sorted(plus._entries.keys() | minus._entries.keys()):
             yield p, q, plus.h(p, q), minus.h(p, q)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EquivariantDiamond):
-            return NotImplemented
-        return self._plus == other._plus and self._minus == other._minus
-
-    def __hash__(self) -> int:
-        return hash((self._plus, self._minus))
 
     def __bool__(self) -> bool:
         return bool(self._plus or self._minus)

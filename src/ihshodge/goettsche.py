@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 
-from .diamond import ConsistencyError, HodgeDiamond, _is_int
+from .diamond import ConsistencyError, HodgeDiamond, _Record, _is_int
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -65,7 +65,7 @@ def _check_bounds(max_xy: int, max_t: int) -> None:
         raise ValueError("truncation bounds must be nonnegative integers")
 
 
-class TruncatedSeries3:
+class TruncatedSeries3(_Record):
     """Polynomial in x, y, t truncated at fixed maximal exponents.
 
     Coefficients are exact integers; monomials x^a y^b t^m with a or b
@@ -78,8 +78,6 @@ class TruncatedSeries3:
     def __init__(self, coefficients: Mapping[Exponents, int],
                  max_xy: int, max_t: int):
         _check_bounds(max_xy, max_t)
-        object.__setattr__(self, "max_xy", max_xy)
-        object.__setattr__(self, "max_t", max_t)
         table: dict[Exponents, int] = {}
         for key, value in coefficients.items():
             if (not isinstance(key, tuple) or len(key) != 3
@@ -94,7 +92,7 @@ class TruncatedSeries3:
                 continue
             if value:
                 table[key] = value
-        object.__setattr__(self, "_coeffs", dict(sorted(table.items())))
+        super().__init__(dict(sorted(table.items())), max_xy, max_t)
 
     @classmethod
     def _trusted(cls, coefficients: Mapping[Exponents, int],
@@ -106,9 +104,6 @@ class TruncatedSeries3:
         object.__setattr__(s, "_coeffs",
                            {key: v for key, v in sorted(coefficients.items()) if v})
         return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries3 is immutable")
 
     @classmethod
     def one(cls, max_xy: int, max_t: int) -> "TruncatedSeries3":
@@ -124,12 +119,6 @@ class TruncatedSeries3:
         """The coefficient of t^m as a table (a, b) -> integer."""
         out = {(a, b): c for (a, b, mm), c in self._coeffs.items() if mm == m}
         return dict(sorted(out.items()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries3):
-            return NotImplemented
-        return (self.max_xy == other.max_xy and self.max_t == other.max_t
-                and self._coeffs == other._coeffs)
 
     def __hash__(self) -> int:
         return hash((self.max_xy, self.max_t, tuple(self._coeffs.items())))
@@ -278,6 +267,8 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
     >>> hilbert_scheme_diamond(surface_diamond("k3"), 2).h(2, 2)
     232
     """
+    if not isinstance(surface, HodgeDiamond):
+        raise ValueError(f"the surface must be a HodgeDiamond, got {surface!r}")
     if surface.complex_dimension != 2:
         raise ValueError("the input diamond must have complex dimension 2")
     if not _is_int(n):

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .diamond import (
     Bidegree,
     BettiVector,
     ConsistencyError,
     HodgeDiamond,
+    _Record,
     _is_int,
     betti,
     check_diamond,
@@ -61,7 +60,7 @@ from .equivariant import (
     forget,
     invariant_part,
 )
-from .goettsche import abelian_fourfold_diamond
+from .goettsche import abelian_fourfold_diamond, surface_diamond
 
 __all__ = [
     "DEFAULT_CONSTANTS",
@@ -93,8 +92,7 @@ def quadric3_diamond() -> HodgeDiamond:
     return HodgeDiamond({(k, k): 1 for k in range(4)}, complex_dimension=3)
 
 
-@dataclass(frozen=True)
-class NamedConstants:
+class NamedConstants(_Record):
     """The geometric constants every correction is derived from.
 
     * ``two_torsion_count``: 256 = 2^8, the number of two-torsion points
@@ -116,30 +114,29 @@ class NamedConstants:
     here, so equal constants always name the same derivation.
     """
 
-    two_torsion_count: int = 256
-    quadric3: HodgeDiamond = field(default_factory=quadric3_diamond)
-    incidence_swap_row: tuple[int, int, int] = (1, 1, 2)
-    b2: int = 8
-    euler_characteristic: int = 1920
+    __slots__ = ("two_torsion_count", "quadric3", "incidence_swap_row", "b2",
+                 "euler_characteristic")
 
-    def __post_init__(self):
-        for name in ("two_torsion_count", "b2", "euler_characteristic"):
-            value = getattr(self, name)
+    def __init__(self, two_torsion_count: int = 256,
+                 quadric3: HodgeDiamond = quadric3_diamond(),
+                 incidence_swap_row: tuple[int, int, int] = (1, 1, 2),
+                 b2: int = 8, euler_characteristic: int = 1920):
+        for name, value in (("two_torsion_count", two_torsion_count), ("b2", b2),
+                            ("euler_characteristic", euler_characteristic)):
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.quadric3, HodgeDiamond):
-            raise ValueError(f"quadric3 must be a HodgeDiamond, got {self.quadric3!r}")
-        row = tuple(self.incidence_swap_row)
+        if not isinstance(quadric3, HodgeDiamond):
+            raise ValueError(f"quadric3 must be a HodgeDiamond, got {quadric3!r}")
+        row = tuple(incidence_swap_row)
         if len(row) != 3 or not all(_is_int(v) for v in row):
             raise ValueError(f"incidence_swap_row must be three integers, got {row!r}")
-        object.__setattr__(self, "incidence_swap_row", row)
+        super().__init__(two_torsion_count, quadric3, row, b2, euler_characteristic)
 
 
 DEFAULT_CONSTANTS = NamedConstants()
 
 
-@dataclass(frozen=True)
-class ChernReport:
+class ChernReport(_Record):
     """Chern numbers of a hyperkaehler 6-fold from chi^0, chi^1, chi^2.
 
     On such a manifold the Hirzebruch-Riemann-Roch integrals invert to
@@ -151,25 +148,16 @@ class ChernReport:
     and c6 is the topological Euler characteristic.
     """
 
-    chi0: int
-    chi1: int
-    chi2: int
-    c2_cubed: int
-    c2_c4: int
-    c6: int
+    __slots__ = ("chi0", "chi1", "chi2", "c2_cubed", "c2_c4", "c6")
 
     def to_json_dict(self) -> dict:
-        return {"chi0": self.chi0, "chi1": self.chi1, "chi2": self.chi2,
-                "c2_cubed": self.c2_cubed, "c2_c4": self.c2_c4, "c6": self.c6}
+        return dict(zip(self.__slots__, self._fields()))
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_Record):
     """One derivation stage: its tag, output and corrections."""
 
-    lemma: str
-    output: HodgeDiamond
-    corrections: tuple[tuple[int, int, int], ...]
+    __slots__ = ("lemma", "output", "corrections")
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,17 +167,17 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
+class PipelineTrace(_Record):
     """The ordered audit trail of :func:`run_full_pipeline`."""
 
-    steps: tuple[TraceStep, ...]
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
-        tags = tuple(step.lemma for step in self.steps)
+    def __init__(self, steps: tuple[TraceStep, ...]):
+        tags = tuple(step.lemma for step in steps)
         if tags != STAGE_ORDER:
             raise ValueError(
                 f"trace stages must be {STAGE_ORDER}, got {tags}")
+        super().__init__(steps)
 
     def step(self, lemma: str) -> TraceStep:
         for step in self.steps:
@@ -201,11 +189,8 @@ class PipelineTrace:
         return [step.to_json_dict() for step in self.steps]
 
 
-class PipelineResult(NamedTuple):
-    diamond: HodgeDiamond
-    betti_numbers: BettiVector
-    chern: ChernReport
-    trace: PipelineTrace
+class PipelineResult(_Record):
+    __slots__ = ("diamond", "betti_numbers", "chern", "trace")
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +223,13 @@ def delta_bar_diamond(constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDia
     Even bidegrees keep the torus dimensions of
     :func:`~ihshodge.goettsche.abelian_fourfold_diamond`; the odd part
     dies in the quotient; each of the 256 fixed two-torsion points
-    contributes an exceptional class at (1,1), (2,2) and (3,3).
+    contributes the classes of an exceptional P^3 at (1,1), (2,2) and (3,3).
     """
-    table = {(p, q): value for p, q, value in abelian_fourfold_diamond().items()
-             if (p + q) % 2 == 0}
-    for k in (1, 2, 3):
-        table[(k, k)] += constants.two_torsion_count
-    return HodgeDiamond(table, complex_dimension=4)
+    even = HodgeDiamond._trusted({(p, q): value for p, q, value
+                                  in abelian_fourfold_diamond().items()
+                                  if (p + q) % 2 == 0})
+    classes = _blowup_classes(surface_diamond("point"), 4, constants.two_torsion_count)
+    return _apply_corrections(even, classes, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +462,8 @@ def run_full_pipeline(constants: NamedConstants = DEFAULT_CONSTANTS
     recently used.  Failures are not cached, so corrupted constants
     raise on every call.
     """
+    if not isinstance(constants, NamedConstants):
+        raise ValueError(f"constants must be NamedConstants, got {constants!r}")
     return _derive(constants)
 
 
@@ -547,6 +534,8 @@ def og6_via_dual_degrees(constants: NamedConstants = DEFAULT_CONSTANTS
     with each correction.  The result is cross-validated as in
     :func:`run_full_pipeline`.
     """
+    if not isinstance(constants, NamedConstants):
+        raise ValueError(f"constants must be NamedConstants, got {constants!r}")
     diamond = _dual_degree_table(constants)
     _cross_validate(diamond, constants)
     return diamond

@@ -32,6 +32,13 @@ from ihshodge import run_full_pipeline
 print(run_full_pipeline().diamond.h(3, 3))
 """
 
+# Runs in a fresh interpreter; prints the record machinery the CLI loads.
+CLI_IMPORT = """
+import sys
+import ihshodge.cli
+print(sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
+"""
+
 
 def test_package_exports_only_the_entry_points():
     assert sorted(ihshodge.__all__) == [
@@ -61,6 +68,13 @@ def test_hilbert_scheme_route_loads_only_diamond_and_goettsche():
     out = subprocess.run([sys.executable, "-S", "-c", HILBERT_ROUTE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["[]", "1144"]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-S", "-c", CLI_IMPORT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]"]
 
 
 def test_package_names_resolve_lazily_and_uncached():

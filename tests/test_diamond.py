@@ -25,6 +25,8 @@ from ihshodge.diamond import (
     tensor,
     weight_sums,
 )
+from ihshodge.equivariant import EquivariantDiamond
+from ihshodge.goettsche import TruncatedSeries3
 
 OG6_LOWER = [
     (0, 0, 1),
@@ -90,6 +92,19 @@ def test_immutability():
         d.complex_dimension = 3
     d.entries[(0, 0)] = 99
     assert d.h(0, 0) == 1
+
+
+@pytest.mark.parametrize("value", [
+    HodgeDiamond({(0, 0): 1, (1, 1): 2}, complex_dimension=1),
+    EquivariantDiamond({(1, 1): (2, 1)}),
+    TruncatedSeries3({(0, 0, 0): 1, (1, 0, 1): 3}, 2, 1),
+], ids=lambda value: type(value).__name__)
+def test_slots_cannot_be_deleted(value):
+    before = repr(value)
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+    assert repr(value) == before
 
 
 def test_equality_distinguishes_dimension():
@@ -457,6 +472,11 @@ def test_complete_by_duality_conflict():
     lower = HodgeDiamond({(0, 0): 1, (2, 2): 5})
     with pytest.raises(ConsistencyError):
         complete_by_duality(lower, 2)
+
+
+def test_complete_by_duality_rejects_a_negative_dimension():
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        complete_by_duality(HodgeDiamond({(0, 0): 1}), -1)
 
 
 def test_complete_by_duality_accepts_consistent_upper():

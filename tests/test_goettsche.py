@@ -253,6 +253,11 @@ def test_hilb_rejects_bad_max_n(max_n):
         hilbert_scheme_diamond(surface_diamond("k3"), 2, max_n=max_n)
 
 
+def test_hilb_rejects_a_plain_table():
+    with pytest.raises(ValueError, match="must be a HodgeDiamond"):
+        hilbert_scheme_diamond({(0, 0): 1}, 2)
+
+
 def test_hilb_requires_a_surface():
     with pytest.raises(ValueError):
         hilbert_scheme_diamond(surface_diamond("point"), 2)

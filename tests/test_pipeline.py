@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from _oracles import swap_orbit_counts
@@ -23,9 +21,11 @@ from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
 from ihshodge.pipeline import (
     DEFAULT_CONSTANTS,
     STAGE_ORDER,
+    ChernReport,
     NamedConstants,
     PipelineResult,
     PipelineTrace,
+    TraceStep,
     _apply_corrections,
     _blowup_classes,
     _dual_degree_table,
@@ -90,8 +90,33 @@ def test_named_constants_frozen():
     assert DEFAULT_CONSTANTS.quadric3 == quadric3_diamond()
     assert DEFAULT_CONSTANTS.b2 == 8
     assert DEFAULT_CONSTANTS.euler_characteristic == 1920
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="immutable"):
         DEFAULT_CONSTANTS.two_torsion_count = 0
+    with pytest.raises(AttributeError, match="immutable"):
+        del DEFAULT_CONSTANTS.b2
+
+
+def test_named_constants_value_semantics():
+    fields = (256, quadric3_diamond(), (1, 1, 2), 8, 1920)
+    assert NamedConstants(*fields) == DEFAULT_CONSTANTS
+    assert NamedConstants(euler_characteristic=1920, b2=8, two_torsion_count=256,
+                          incidence_swap_row=(1, 1, 2),
+                          quadric3=quadric3_diamond()) == DEFAULT_CONSTANTS
+    assert NamedConstants(b2=9) != DEFAULT_CONSTANTS != fields
+    assert hash(DEFAULT_CONSTANTS) == hash(NamedConstants()) == hash(fields)
+    assert repr(DEFAULT_CONSTANTS) == (
+        "NamedConstants(two_torsion_count=256, quadric3=HodgeDiamond({(0,0): 1, "
+        "(1,1): 1, (2,2): 1, (3,3): 1}, complex_dimension=3), "
+        "incidence_swap_row=(1, 1, 2), b2=8, euler_characteristic=1920)")
+
+
+def test_chern_report_and_trace_step_repr():
+    assert repr(ChernReport(4, -24, 348, 30720, 7680, 1920)) == (
+        "ChernReport(chi0=4, chi1=-24, chi2=348, c2_cubed=30720, c2_c4=7680, "
+        "c6=1920)")
+    step = TraceStep("3fin", HodgeDiamond({(1, 1): 2}), ((1, 1, 2),))
+    assert repr(step) == ("TraceStep(lemma='3fin', output=HodgeDiamond({(1,1): 2}), "
+                          "corrections=((1, 1, 2),))")
 
 
 def test_delta_bar_diamond():
@@ -306,6 +331,13 @@ def test_trace_rejects_wrong_stage_order():
         PipelineTrace(tuple(shuffled))
     with pytest.raises(KeyError):
         trace.step("4fin-bis")
+
+
+@pytest.mark.parametrize("route", [run_full_pipeline, og6_via_dual_degrees])
+@pytest.mark.parametrize("constants", ["x", None])
+def test_routes_reject_constants_of_another_type(route, constants):
+    with pytest.raises(ValueError, match="must be NamedConstants"):
+        route(constants)
 
 
 def test_pipeline_result_is_shared_per_constants():

@@ -152,7 +152,11 @@ class HodgeDiamond(_Record):
                     f"complex dimension must be a nonnegative integer, "
                     f"got {complex_dimension!r}")
         if not isinstance(entries, Mapping):
-            entries = dict(entries)
+            try:
+                entries = dict(entries)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"entries must be a mapping or (p, q), value "
+                                 f"pairs, got {entries!r}") from exc
         object.__setattr__(self, "_dim", complex_dimension)
         object.__setattr__(self, "_entries",
                            _validated_entries(entries, complex_dimension))

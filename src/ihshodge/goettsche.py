@@ -9,18 +9,24 @@ numbers of the Hilbert schemes S^[n] is the infinite product
             (1 - e x^{p+k-1} y^{q+k-1} t^k)^{-e h^{p,q}(S)},   e = (-1)^{p+q}.
 
 :func:`hilbert_scheme_diamond` never multiplies this product out.  Its
-logarithmic derivative is a sum of geometric series,
+logarithmic derivative, grouped by the power j of each factor's
+monomial, is a sum of geometric series,
 
-    t d/dt log F = sum_{i>=1} G_i t^i,
-    G_i = sum_{k j = i} k sum_{p,q} e^{j+1} h^{p,q} x^{j(p+k-1)} y^{j(q+k-1)},
+    t d/dt log F = sum_{j>=1} T_j t^j / (1 - (x y t)^j)^2,
+    T_j = sum_{p,q} e^{j+1} h^{p,q} x^{j p} y^{j q},
 
 so comparing coefficients of t^N in t dF/dt = F * (t d/dt log F) gives
-the recurrence N F_N = sum_{i=1..N} G_i F_{N-i} from F_0 = 1.  Only the
-two-variable slices F_0..F_n are ever built, and each G_i has at most
-|S| d(i) terms.  Every monomial of F_N and of G_N has x- and y-degree at
-most 2N, so a slice is stored as a dict keyed by the packed integer
-a + (2n+1) b: adding keys adds exponents without carries, and no two
-monomials of a slice share a key.
+the recurrence
+
+    N F_N = sum_{j=1..N} T_j H_{N,j},
+    H_{N,j} = sum_{k=1..N/j} k (x y)^{j(k-1)} F_{N-jk},
+
+from F_0 = 1; H_{N,j} is F_{N-j} once 2j > N.  Only the two-variable
+slices F_0..F_n are built: each H_{N,j} is a sum of shifted slices and
+T_j has at most |S| terms.  Every monomial of F_N and of T_j H_{N,j} has
+x- and y-degree at most 2N, so a slice is a dict keyed by the packed
+integer a + (2n+1) b: adding keys adds exponents without carries, and no
+two monomials of a slice share a key.
 
 :class:`TruncatedSeries3` with :func:`factor_power` and
 :func:`series_mul` multiply the product out factor by factor.  They are
@@ -45,9 +51,9 @@ __all__ = [
     "surface_diamond",
 ]
 
-# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.5 s and
-# abelian^[30] about 1.6 s, abelian^[40] about 5 s (CPython 3.11, one core
-# of a shared x86 host), so a larger limit only invites long runs.
+# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.16 s and
+# abelian^[30] about 0.42 s (CPython 3.11, one core of a shared x86 host),
+# and the cost grows steeply with n, so a larger limit only invites long runs.
 DEFAULT_MAX_N = 30
 
 Exponents = tuple[int, int, int]
@@ -211,33 +217,27 @@ def abelian_fourfold_diamond() -> HodgeDiamond:
 # the Hilbert scheme diamonds
 
 
-def _log_derivative_slices(surface: HodgeDiamond, n: int,
-                           base: int) -> list[dict[int, int]]:
-    """G_0..G_n of t d/dt log F, each keyed by the packed a + base * b."""
-    slices: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for j in range(1, n // k + 1):
-            g = slices[k * j]
-            for p, q, h in surface.items():
-                sign = -1 if (p + q) % 2 and j % 2 == 0 else 1
-                key = j * (p + k - 1) + base * j * (q + k - 1)
-                g[key] = g.get(key, 0) + sign * k * h
-    return slices
-
-
 def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> dict[int, int]:
-    """F_n by the recurrence N F_N = sum_{i=1..N} G_i F_{N-i}, packed keys."""
-    g = _log_derivative_slices(surface, n, base)
+    """F_n by the recurrence N F_N = sum_j T_j H_{N,j}, packed keys."""
+    terms = [[(j * (p + base * q), h if j % 2 or (p + q) % 2 == 0 else -h)
+              for p, q, h in surface.items()] for j in range(n + 1)]
     f: list[dict[int, int]] = [{0: 1}]
     for big_n in range(1, n + 1):
         acc: dict[int, int] = {}
         get = acc.get
-        for i in range(1, big_n + 1):
-            lower = f[big_n - i]
-            for kg, cg in g[i].items():
-                for kf, cf in lower.items():
-                    key = kg + kf
-                    acc[key] = get(key, 0) + cg * cf
+        for j in range(1, big_n + 1):
+            if 2 * j > big_n:
+                h_nj = f[big_n - j]
+            else:
+                h_nj = {}
+                for k in range(1, big_n // j + 1):
+                    shift = j * (k - 1) * (base + 1)
+                    for kf, cf in f[big_n - j * k].items():
+                        h_nj[kf + shift] = h_nj.get(kf + shift, 0) + k * cf
+            for kt, ct in terms[j]:
+                for kh, ch in h_nj.items():
+                    key = kt + kh
+                    acc[key] = get(key, 0) + ct * ch
         # Odd classes cancel many terms; dropping them keeps every later
         # pass over this slice short.
         slice_n: dict[int, int] = {}
@@ -257,7 +257,7 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
                            max_n: int = DEFAULT_MAX_N) -> HodgeDiamond:
     """Hodge diamond of the Hilbert scheme of n points on a surface.
 
-    Computed by the recurrence N F_N = sum_i G_i F_{N-i} of the module
+    Computed by the recurrence N F_N = sum_j T_j H_{N,j} of the module
     docstring, on slices keyed by a + (2n+1) b.  n may not exceed
     ``max_n``, by default the limit :data:`DEFAULT_MAX_N` = 30.  An
     inexact division by N, or a negative coefficient in the t^n slice,

@@ -127,9 +127,13 @@ class NamedConstants(_Record):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(quadric3, HodgeDiamond):
             raise ValueError(f"quadric3 must be a HodgeDiamond, got {quadric3!r}")
-        row = tuple(incidence_swap_row)
+        try:
+            row = tuple(incidence_swap_row)
+        except TypeError:
+            row = ()
         if len(row) != 3 or not all(_is_int(v) for v in row):
-            raise ValueError(f"incidence_swap_row must be three integers, got {row!r}")
+            raise ValueError(f"incidence_swap_row must be three integers, "
+                             f"got {incidence_swap_row!r}")
         super().__init__(two_torsion_count, quadric3, row, b2, euler_characteristic)
 
 
@@ -217,6 +221,12 @@ def _blowup_classes(center: HodgeDiamond, codim: int,
     return out
 
 
+def _require_constants(constants: object) -> None:
+    """The one type check of every public function that takes constants."""
+    if not isinstance(constants, NamedConstants):
+        raise ValueError(f"constants must be NamedConstants, got {constants!r}")
+
+
 def delta_bar_diamond(constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDiamond:
     """Quotient of the 4-torus A x A^ by -1, resolved at the fixed points.
 
@@ -225,6 +235,7 @@ def delta_bar_diamond(constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDia
     dies in the quotient; each of the 256 fixed two-torsion points
     contributes the classes of an exceptional P^3 at (1,1), (2,2) and (3,3).
     """
+    _require_constants(constants)
     even = HodgeDiamond._trusted({(p, q): value for p, q, value
                                   in abelian_fourfold_diamond().items()
                                   if (p + q) % 2 == 0})
@@ -359,6 +370,7 @@ def ybar_invariants(y_inv: HodgeDiamond,
     classes with a Tate shift, giving +256, +256, +512 on the diagonal
     entries (1,1), (2,2), (3,3) of the invariant table.
     """
+    _require_constants(constants)
     _require_lower_half(y_inv, "ybar_invariants")
     return _apply_corrections(y_inv, _lower_half(_ybar_corrections(constants)))
 
@@ -377,6 +389,7 @@ def yhat_invariants(ybar_inv: HodgeDiamond,
     The result is also the blow-up of the OG6 manifold along 256 quadric
     threefolds (stage ``Kt-and-Ktt(2)``).
     """
+    _require_constants(constants)
     _require_lower_half(ybar_inv, "yhat_invariants")
     return _apply_corrections(ybar_inv, _lower_half(_yhat_corrections(constants)))
 
@@ -394,6 +407,7 @@ def og6_diamond(khat: HodgeDiamond,
     entries to the upper half and validates the result as a 6-fold
     diamond.
     """
+    _require_constants(constants)
     _require_lower_half(khat, "og6_diamond")
     lower = _apply_corrections(khat, _lower_half(_quadric_corrections(constants)))
     completed = complete_by_duality(lower, 6)
@@ -462,8 +476,7 @@ def run_full_pipeline(constants: NamedConstants = DEFAULT_CONSTANTS
     recently used.  Failures are not cached, so corrupted constants
     raise on every call.
     """
-    if not isinstance(constants, NamedConstants):
-        raise ValueError(f"constants must be NamedConstants, got {constants!r}")
+    _require_constants(constants)
     return _derive(constants)
 
 
@@ -534,8 +547,7 @@ def og6_via_dual_degrees(constants: NamedConstants = DEFAULT_CONSTANTS
     with each correction.  The result is cross-validated as in
     :func:`run_full_pipeline`.
     """
-    if not isinstance(constants, NamedConstants):
-        raise ValueError(f"constants must be NamedConstants, got {constants!r}")
+    _require_constants(constants)
     diamond = _dual_degree_table(constants)
     _cross_validate(diamond, constants)
     return diamond

@@ -72,6 +72,12 @@ def test_entries_outside_bounds_rejected():
         HodgeDiamond({(-1, 0): 1})
 
 
+@pytest.mark.parametrize("entries", [5, None, [1], "ab"], ids=repr)
+def test_entries_that_are_not_a_table_rejected(entries):
+    with pytest.raises(ValueError, match="entries must be a mapping"):
+        HodgeDiamond(entries)
+
+
 def test_dimension_must_be_nonnegative_integer():
     with pytest.raises(ValueError):
         HodgeDiamond({}, complex_dimension=-1)

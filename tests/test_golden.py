@@ -25,6 +25,8 @@ CASES = {
                         "--format", "json"],
     "hilb_n5_abelian.json": ["hilb", "--n", "5", "--surface", "abelian",
                              "--format", "json"],
+    "hilb_n12_abelian.json": ["hilb", "--n", "12", "--surface", "abelian",
+                              "--format", "json"],
     "check_all.txt": ["check", "--suite", "all"],
 }
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from _oracles import swap_orbit_counts
@@ -333,7 +335,16 @@ def test_trace_rejects_wrong_stage_order():
         trace.step("4fin-bis")
 
 
-@pytest.mark.parametrize("route", [run_full_pipeline, og6_via_dual_degrees])
+POINT = HodgeDiamond({(0, 0): 1})
+ROUTES = {"run_full_pipeline": run_full_pipeline,
+          "og6_via_dual_degrees": og6_via_dual_degrees,
+          "delta_bar_diamond": delta_bar_diamond,
+          "ybar_invariants": functools.partial(ybar_invariants, POINT),
+          "yhat_invariants": functools.partial(yhat_invariants, POINT),
+          "og6_diamond": functools.partial(og6_diamond, POINT)}
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
 @pytest.mark.parametrize("constants", ["x", None])
 def test_routes_reject_constants_of_another_type(route, constants):
     with pytest.raises(ValueError, match="must be NamedConstants"):
@@ -358,7 +369,8 @@ def test_perturbed_constants_raise_on_every_call(perturbed):
 @pytest.mark.parametrize("fields", [
     {"b2": 8.0}, {"b2": True}, {"two_torsion_count": 256.0},
     {"euler_characteristic": 1920.0}, {"incidence_swap_row": (1, 1, 2, 3)},
-    {"incidence_swap_row": (1, 1, 2.0)}, {"quadric3": {(0, 0): 1}}], ids=str)
+    {"incidence_swap_row": (1, 1, 2.0)}, {"incidence_swap_row": 5},
+    {"incidence_swap_row": None}, {"quadric3": {(0, 0): 1}}], ids=str)
 def test_named_constants_reject_wrong_types(fields):
     with pytest.raises(ValueError):
         NamedConstants(**fields)

@@ -66,16 +66,18 @@ def _is_int(value) -> bool:
 
 
 def _validated_entries(entries: Mapping[Bidegree, int],
-                       dim: int | None) -> dict[Bidegree, int]:
+                       dim: int | None = None) -> dict[Bidegree, int]:
     table: dict[Bidegree, int] = {}
     for key, value in entries.items():
-        if (not isinstance(key, tuple) or len(key) != 2
-                or not (_is_int(key[0]) and _is_int(key[1]))):
+        exact = (type(key) is tuple and len(key) == 2 and type(key[0]) is int
+                 and type(key[1]) is int and type(value) is int)
+        if not exact and (not isinstance(key, tuple) or len(key) != 2
+                          or not (_is_int(key[0]) and _is_int(key[1]))):
             raise ValueError(f"bidegree keys must be integer pairs, got {key!r}")
         p, q = key
         if p < 0 or q < 0:
             raise ValueError(f"negative bidegree ({p},{q})")
-        if not _is_int(value):
+        if not exact and not _is_int(value):
             raise ValueError(f"dimension at ({p},{q}) must be an integer, got {value!r}")
         if value < 0:
             raise ValueError(f"negative dimension {value} at ({p},{q})")
@@ -84,7 +86,7 @@ def _validated_entries(entries: Mapping[Bidegree, int],
                 f"entry at ({p},{q}) lies outside the diamond of a {dim}-fold")
         if value:
             table[(p, q)] = value
-    return dict(sorted(table.items()))
+    return table
 
 
 class _Record:
@@ -151,28 +153,30 @@ class HodgeDiamond(_Record):
                 raise ValueError(
                     f"complex dimension must be a nonnegative integer, "
                     f"got {complex_dimension!r}")
-        if not isinstance(entries, Mapping):
+        if type(entries) is not dict and not isinstance(entries, Mapping):
             try:
                 entries = dict(entries)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"entries must be a mapping or (p, q), value "
                                  f"pairs, got {entries!r}") from exc
-        object.__setattr__(self, "_dim", complex_dimension)
-        object.__setattr__(self, "_entries",
-                           _validated_entries(entries, complex_dimension))
+        table = _validated_entries(entries, complex_dimension)
+        super().__init__({key: table[key] for key in sorted(table)}, complex_dimension)
 
     @classmethod
     def _trusted(cls, table: Mapping[Bidegree, int],
                  complex_dimension: int | None = None) -> "HodgeDiamond":
         """Wrap a table computed from validated diamonds, skipping validation.
 
-        Zero entries are still dropped and the order is still sorted, so
-        the result compares equal to its validated counterpart.
+        Zero entries are still dropped and the entries still sorted (by
+        bidegree alone, which is cheaper than sorting the items), so the
+        result compares and hashes equal to its validated counterpart.
         """
+        if 0 in table.values():
+            table = {key: v for key, v in table.items() if v}
         d = object.__new__(cls)
         object.__setattr__(d, "_dim", complex_dimension)
-        object.__setattr__(d, "_entries",
-                           {key: v for key, v in sorted(table.items()) if v})
+        object.__setattr__(d, "_entries", {key: table[key] for key in sorted(table)}
+                           if len(table) > 1 else dict(table))
         return d
 
     @property
@@ -335,11 +339,19 @@ def weight_sums(d: HodgeDiamond) -> dict[int, int]:
 # table algebra (all results are abstract, i.e. dimensionless)
 
 
+def _wrong_type(cls: type, *values: object) -> ValueError:
+    """The boundary error for the first of ``values`` that is not a ``cls``."""
+    bad = next(value for value in values if not isinstance(value, cls))
+    return ValueError(f"expected a {cls.__name__}, got {bad!r}")
+
+
 def direct_sum(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     """Entrywise sum of two tables."""
-    table = a.entries
-    for p, q, value in b.items():
-        table[(p, q)] = table.get((p, q), 0) + value
+    if not (isinstance(a, HodgeDiamond) and isinstance(b, HodgeDiamond)):
+        raise _wrong_type(HodgeDiamond, a, b)
+    table = dict(a._entries)
+    for key, value in b._entries.items():
+        table[key] = table.get(key, 0) + value
     return HodgeDiamond._trusted(table)
 
 
@@ -361,6 +373,8 @@ def tensor(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     >>> sorted(t.entries.items())
     [((1, 3), 3), ((2, 1), 2)]
     """
+    if not (isinstance(a, HodgeDiamond) and isinstance(b, HodgeDiamond)):
+        raise _wrong_type(HodgeDiamond, a, b)
     return HodgeDiamond._trusted(_convolve(a._entries, b._entries, {}))
 
 
@@ -392,29 +406,29 @@ def _graded_powers(d: HodgeDiamond, k: int, block,
     """The raw tables of the j-th power of ``d`` for every j = 0 .. k.
 
     ``block(m, j)`` is the dimension of the j-th power functor applied to
-    a single m-dimensional piece; the cross terms between pieces are
-    plain tensor products.  Tables with odd total degrees are rejected.
+    a single m-dimensional piece.  The first piece seeds each table; later
+    pieces are convolved in.  Odd total degrees are rejected.
     """
     if not _is_int(k) or k < 0:
         raise ValueError("power index must be a nonnegative integer")
-    for p, q, _ in d.items():
+    acc: list[dict[Bidegree, int]] = [{(0, 0): 1}] + [{} for _ in range(k)]
+    for i, ((p, q), m) in enumerate(d._entries.items()):
         if (p + q) % 2:
-            raise ValueError(
-                f"{op} needs even total degrees only; found an entry at "
-                f"({p},{q})")
-    acc: list[dict[Bidegree, int]] = [{} for _ in range(k + 1)]
-    acc[0][(0, 0)] = 1
-    for (p, q), m in d._entries.items():
+            raise ValueError(f"{op} needs even total degrees only; "
+                             f"found an entry at ({p},{q})")
+        powers = [(j, j * p, j * q, bd) for j in range(1, k + 1) if (bd := block(m, j))]
+        if not i:
+            for j, jp, jq, bd in powers:
+                acc[j][(jp, jq)] = bd
+            continue
         # filling from the top, acc[total - j] does not hold this piece yet
-        blocks = [block(m, j) for j in range(k + 1)]
         for total in range(k, 0, -1):
             tgt = acc[total]
-            for j in range(1, total + 1):
-                bd = blocks[j]
-                if not bd:
-                    continue
+            for j, jp, jq, bd in powers:
+                if j > total:
+                    break
                 for (ap, aq), av in acc[total - j].items():
-                    key = (ap + j * p, aq + j * q)
+                    key = (ap + jp, aq + jq)
                     tgt[key] = tgt.get(key, 0) + av * bd
     return acc
 
@@ -429,11 +443,15 @@ def sym_power(d: HodgeDiamond, k: int) -> HodgeDiamond:
     >>> sym_power(H2, 2).h(2, 2)
     211
     """
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     return HodgeDiamond._trusted(_graded_powers(d, k, _sym_dim, "sym_power")[k])
 
 
 def ext_power(d: HodgeDiamond, k: int) -> HodgeDiamond:
     """k-th exterior power of a table supported in even total degree."""
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     return HodgeDiamond._trusted(_graded_powers(d, k, _ext_dim, "ext_power")[k])
 
 

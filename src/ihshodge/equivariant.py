@@ -30,6 +30,8 @@ from .diamond import (
     _ext_dim,
     _graded_powers,
     _sym_dim,
+    _validated_entries,
+    _wrong_type,
     direct_sum,
     tate_twist,
 )
@@ -58,7 +60,7 @@ class EquivariantDiamond(_Record):
     __slots__ = ("_plus", "_minus")
 
     def __init__(self, entries: Mapping[Bidegree, EigenPair] = ()):
-        if not isinstance(entries, Mapping):
+        if type(entries) is not dict and not isinstance(entries, Mapping):
             entries = dict(entries)
         plus: dict = {}
         minus: dict = {}
@@ -68,8 +70,8 @@ class EquivariantDiamond(_Record):
                     f"eigenspace dimensions at {key!r} must be an integer "
                     f"pair, got {pair!r}")
             plus[key], minus[key] = pair
-        object.__setattr__(self, "_plus", HodgeDiamond(plus))
-        object.__setattr__(self, "_minus", HodgeDiamond(minus))
+        super().__init__(HodgeDiamond._trusted(_validated_entries(plus)),
+                         HodgeDiamond._trusted(_validated_entries(minus)))
 
     @classmethod
     def _from_parts(cls, plus: HodgeDiamond,
@@ -89,9 +91,9 @@ class EquivariantDiamond(_Record):
 
     def items(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (p, q, plus, minus) in lexicographic order."""
-        plus, minus = self._plus, self._minus
-        for p, q in sorted(plus._entries.keys() | minus._entries.keys()):
-            yield p, q, plus.h(p, q), minus.h(p, q)
+        plus, minus = self._plus._entries, self._minus._entries
+        for key in sorted(plus.keys() | minus.keys()):
+            yield *key, plus.get(key, 0), minus.get(key, 0)
 
     def __bool__(self) -> bool:
         return bool(self._plus or self._minus)
@@ -107,11 +109,15 @@ class EquivariantDiamond(_Record):
 
 def invariant_part(d: EquivariantDiamond) -> HodgeDiamond:
     """The plus eigenspace dimensions as a plain table."""
+    if not isinstance(d, EquivariantDiamond):
+        raise _wrong_type(EquivariantDiamond, d)
     return d._plus
 
 
 def forget(d: EquivariantDiamond) -> HodgeDiamond:
     """Drop the involution: total dimension plus + minus per bidegree."""
+    if not isinstance(d, EquivariantDiamond):
+        raise _wrong_type(EquivariantDiamond, d)
     return direct_sum(d._plus, d._minus)
 
 
@@ -121,12 +127,16 @@ def forget(d: EquivariantDiamond) -> HodgeDiamond:
 
 def eq_sum(a: EquivariantDiamond, b: EquivariantDiamond) -> EquivariantDiamond:
     """Direct sum of each eigenspace."""
+    if not (isinstance(a, EquivariantDiamond) and isinstance(b, EquivariantDiamond)):
+        raise _wrong_type(EquivariantDiamond, a, b)
     return EquivariantDiamond._from_parts(direct_sum(a._plus, b._plus),
                                           direct_sum(a._minus, b._minus))
 
 
 def eq_tensor(a: EquivariantDiamond, b: EquivariantDiamond) -> EquivariantDiamond:
     """Tensor product with the sign rule minus * minus -> plus."""
+    if not (isinstance(a, EquivariantDiamond) and isinstance(b, EquivariantDiamond)):
+        raise _wrong_type(EquivariantDiamond, a, b)
     ap, am = a._plus._entries, a._minus._entries
     bp, bm = b._plus._entries, b._minus._entries
     plus = _convolve(am, bm, _convolve(ap, bp, {}))
@@ -144,6 +154,8 @@ def eq_tate_twist(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
 def _eq_power(d: EquivariantDiamond, k: int, block,
               op: str) -> EquivariantDiamond:
     """Split the k-th power of V+ + V- by the parity of its minus factors."""
+    if not isinstance(d, EquivariantDiamond):
+        raise _wrong_type(EquivariantDiamond, d)
     plus = _graded_powers(d._plus, k, block, op)
     minus = _graded_powers(d._minus, k, block, op)
     signed: tuple[dict, dict] = ({}, {})

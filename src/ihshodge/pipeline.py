@@ -227,6 +227,12 @@ def _require_constants(constants: object) -> None:
         raise ValueError(f"constants must be NamedConstants, got {constants!r}")
 
 
+def _require_table(table: object) -> None:
+    """The one type check of every stage function that takes a table."""
+    if not isinstance(table, HodgeDiamond):
+        raise ValueError(f"table must be a HodgeDiamond, got {table!r}")
+
+
 def delta_bar_diamond(constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDiamond:
     """Quotient of the 4-torus A x A^ by -1, resolved at the fixed points.
 
@@ -307,11 +313,13 @@ def markman_assembly(h2_total: HodgeDiamond) -> HodgeDiamond:
     this is :func:`markman_equivariant` with the involution forgotten;
     it cross-checks the Goettsche series route on K3^[3] itself.
     """
+    _require_table(h2_total)
     h2 = EquivariantDiamond({(p, q): (v, 0) for p, q, v in h2_total.items()})
     return complete_by_duality(forget(_lower_cohomology(h2)), 6)
 
 
 def _require_lower_half(d: HodgeDiamond, op: str) -> None:
+    _require_table(d)
     for p, q, _ in d.items():
         if p + q > 6:
             raise ValueError(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,6 +92,35 @@ def test_bool_is_not_an_integer():
         HodgeDiamond({(True, 0): 1})
     with pytest.raises(ValueError):
         HodgeDiamond({(0, 0): True})
+
+
+class Small(int):
+    """An int subclass other than bool, which tables accept as an integer."""
+
+
+@pytest.mark.parametrize("entries, dim, message", [
+    ({(-1, 0): "x"}, None, "negative bidegree (-1,0)"),
+    ({(-1, 5): -1}, 2, "negative bidegree (-1,5)"),
+    ({(0, 0): "x"}, None, "dimension at (0,0) must be an integer, got 'x'"),
+    ({(0, 0): True}, None, "dimension at (0,0) must be an integer, got True"),
+    ({(True, 0): 1}, None, "bidegree keys must be integer pairs, got (True, 0)"),
+    ({(0, 0, 0): 1}, None, "bidegree keys must be integer pairs, got (0, 0, 0)"),
+    ({"ab": 1}, None, "bidegree keys must be integer pairs, got 'ab'"),
+    ({(0, 0): -1}, None, "negative dimension -1 at (0,0)"),
+    ({(3, 0): -1}, 2, "negative dimension -1 at (3,0)"),
+    ({(3, 0): 1}, 2, "entry at (3,0) lies outside the diamond of a 2-fold"),
+    ({(0, 0): 1, (1, 1): "x", (-1, 0): 1}, None,
+     "dimension at (1,1) must be an integer, got 'x'"),
+], ids=repr)
+def test_entry_errors_keep_their_messages_and_order(entries, dim, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HodgeDiamond(entries, complex_dimension=dim)
+
+
+def test_int_subclass_entries_accepted():
+    d = HodgeDiamond({(Small(1), 0): Small(2), (0, 0): 1}, complex_dimension=1)
+    assert d == HodgeDiamond({(0, 0): 1, (1, 0): 2}, complex_dimension=1)
+    assert list(d.items()) == [(0, 0, 1), (1, 0, 2)]
 
 
 def test_immutability():
@@ -336,6 +367,47 @@ def test_sym_power_matches_oracle(a, k):
 @given(table_strategy(EVEN_DEGREES, max_value=3), st.integers(0, 3))
 def test_ext_power_matches_oracle(a, k):
     assert ext_power(a, k).entries == ext_power_oracle(a.entries, k)
+
+
+SEED_EDGE_TABLES = {
+    "empty": {},
+    "single piece": {(1, 1): 3},
+    "single line": {(2, 0): 1},
+    "first piece below k": {(0, 0): 1, (1, 1): 3},
+    "first two below k": {(0, 0): 2, (1, 1): 1, (2, 2): 4},
+    "only pieces below k": {(0, 0): 1, (2, 0): 2, (1, 1): 1},
+}
+
+
+@pytest.mark.parametrize("entries", SEED_EDGE_TABLES.values(),
+                         ids=SEED_EDGE_TABLES.keys())
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_powers_seeded_by_first_piece_match_oracle(entries, k):
+    d = HodgeDiamond(entries)
+    assert sym_power(d, k).entries == sym_power_oracle(entries, k)
+    assert ext_power(d, k).entries == ext_power_oracle(entries, k)
+    assert sym_power(d, 0) == ext_power(d, 0) == HodgeDiamond({(0, 0): 1})
+
+
+def test_trusted_drops_zeros_and_sorts():
+    table = {(2, 0): 1, (0, 0): 0, (1, 1): 3, (0, 2): 0}
+    d = HodgeDiamond._trusted(table)
+    assert list(d.items()) == [(1, 1, 3), (2, 0, 1)]
+    assert table == {(2, 0): 1, (0, 0): 0, (1, 1): 3, (0, 2): 0}
+    assert hash(d) == hash(HodgeDiamond({(2, 0): 1, (1, 1): 3}))
+    assert HodgeDiamond._trusted({(0, 0): 0}) == HodgeDiamond({})
+    single = {(1, 1): 2}
+    assert HodgeDiamond._trusted(single, 2).entries == single
+    assert HodgeDiamond._trusted(single, 2)._entries is not single
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.integers(0, 3), max_size=8))
+def test_trusted_matches_validated_construction(table):
+    d = HodgeDiamond._trusted(dict(table))
+    assert list(d.items()) == sorted(d.items())
+    assert d == HodgeDiamond(table)
+    assert hash(d) == hash(HodgeDiamond(table))
 
 
 @given(table_strategy(EVEN_DEGREES, max_value=4))

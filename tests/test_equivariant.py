@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import eq_ext_power_oracle, eq_sym_power_oracle
-from ihshodge.diamond import direct_sum, ext_power, sym_power, tensor
+from ihshodge.diamond import (
+    HodgeDiamond,
+    direct_sum,
+    ext_power,
+    sym_power,
+    tate_twist,
+    tensor,
+)
 from ihshodge.equivariant import (
     EquivariantDiamond,
     eq_ext_power,
@@ -50,6 +58,28 @@ def test_negative_pair_rejected():
 def test_invalid_entries_rejected(entries):
     with pytest.raises(ValueError):
         EquivariantDiamond(entries)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(1, 1): (True, 0)}, "dimension at (1,1) must be an integer, got True"),
+    ({(-1, 0): ("x", 0)}, "negative bidegree (-1,0)"),
+    ({(1, 1): 3}, "eigenspace dimensions at (1, 1) must be an integer pair, got 3"),
+    ({(1, 1): (1, -1)}, "negative dimension -1 at (1,1)"),
+    ({(1, 1): (-1, "x")}, "negative dimension -1 at (1,1)"),
+    # every pair is split before either eigenspace is validated
+    ({(1, 1): (-1, 0), (2, 2): [1, 2]},
+     "eigenspace dimensions at (2, 2) must be an integer pair, got [1, 2]"),
+    # the whole plus eigenspace is validated before the minus one
+    ({(1, 1): (1, "x"), (0, 0): (-2, 0)}, "negative dimension -2 at (0,0)"),
+], ids=repr)
+def test_entry_errors_keep_their_messages_and_order(entries, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EquivariantDiamond(entries)
+
+
+def test_pairs_accept_a_sequence_of_items():
+    d = EquivariantDiamond([((1, 1), (2, 0)), ((0, 0), (0, 1))])
+    assert list(d.items()) == [(0, 0, 0, 1), (1, 1, 2, 0)]
 
 
 def test_immutability():
@@ -200,3 +230,89 @@ def test_forget_commutes_on_200_random_tables():
         assert forget(eq_ext_power(a, k)) == ext_power(forget(a), k)
         assert forget(eq_tensor(a, b)) == tensor(forget(a), forget(b))
         assert forget(eq_sum(a, b)) == direct_sum(forget(a), forget(b))
+
+
+# ---------------------------------------------------------------------------
+# boundaries and canonical order of the table operations
+
+
+PLAIN = HodgeDiamond({(1, 1): 2})
+SPLIT = EquivariantDiamond({(1, 1): (1, 1)})
+PLAIN_OPERATIONS = {
+    "sym_power": lambda x: sym_power(x, 2),
+    "ext_power": lambda x: ext_power(x, 2),
+    "tensor-left": lambda x: tensor(x, PLAIN),
+    "tensor-right": lambda x: tensor(PLAIN, x),
+    "direct_sum-left": lambda x: direct_sum(x, PLAIN),
+    "direct_sum-right": lambda x: direct_sum(PLAIN, x),
+}
+EQ_OPERATIONS = {
+    "eq_sym_power": lambda x: eq_sym_power(x, 2),
+    "eq_ext_power": lambda x: eq_ext_power(x, 2),
+    "eq_tensor-left": lambda x: eq_tensor(x, SPLIT),
+    "eq_tensor-right": lambda x: eq_tensor(SPLIT, x),
+    "eq_sum-left": lambda x: eq_sum(x, SPLIT),
+    "eq_sum-right": lambda x: eq_sum(SPLIT, x),
+    "forget": forget,
+    "invariant_part": invariant_part,
+}
+NOT_TABLES = {"None": None, "str": "x", "dict": {(1, 1): 2}}
+BOUNDARY_CASES = (
+    [pytest.param(op, value, "HodgeDiamond", id=f"{name}-{kind}")
+     for name, op in PLAIN_OPERATIONS.items()
+     for kind, value in {**NOT_TABLES, "equivariant": SPLIT}.items()]
+    + [pytest.param(op, value, "EquivariantDiamond", id=f"{name}-{kind}")
+       for name, op in EQ_OPERATIONS.items()
+       for kind, value in {**NOT_TABLES, "plain": PLAIN}.items()])
+
+
+@pytest.mark.parametrize("operation, value, expected", BOUNDARY_CASES)
+def test_table_operations_reject_other_types(operation, value, expected):
+    message = f"expected a {expected}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        operation(value)
+
+
+def plain_table_strategy():
+    degrees = EVEN_DEGREES + [(1, 0), (2, 1)]
+    return st.dictionaries(st.sampled_from(degrees), st.integers(0, 4),
+                           max_size=4).map(HodgeDiamond)
+
+
+def assert_canonical(result):
+    """Sorted entries, hashing like the same table built from scratch."""
+    if isinstance(result, EquivariantDiamond):
+        assert hash(result) == hash(EquivariantDiamond(result.entries))
+        result = forget(result)
+    assert list(result.items()) == sorted(result.items())
+    assert hash(result) == hash(HodgeDiamond(result.entries))
+
+
+@given(eq_table_strategy(), eq_table_strategy(), plain_table_strategy(),
+       plain_table_strategy(), st.integers(0, 3))
+def test_every_table_operation_returns_canonical_order(a, b, c, d, k):
+    even = forget(a)
+    for result in (sym_power(even, k), ext_power(even, k), tensor(c, d),
+                   direct_sum(c, d), direct_sum(d, c), tate_twist(c, k),
+                   eq_sym_power(a, k), eq_ext_power(a, k), eq_tensor(a, b),
+                   eq_sum(a, b), eq_sum(b, a), eq_tate_twist(a, k), forget(a),
+                   invariant_part(b)):
+        assert_canonical(result)
+
+
+SEED_EDGE_TABLES = {
+    "empty": {},
+    "single piece": {(1, 1): (2, 1)},
+    "only minus": {(1, 1): (0, 3)},
+    "first piece below k": {(0, 0): (1, 1), (1, 1): (2, 0)},
+    "pieces below k on both sides": {(0, 0): (1, 0), (2, 0): (0, 1), (1, 1): (1, 1)},
+}
+
+
+@pytest.mark.parametrize("entries", SEED_EDGE_TABLES.values(),
+                         ids=SEED_EDGE_TABLES.keys())
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_eq_powers_seeded_by_first_piece_match_oracle(entries, k):
+    d = EquivariantDiamond(entries)
+    assert eq_sym_power(d, k).entries == eq_sym_power_oracle(entries, k)
+    assert eq_ext_power(d, k).entries == eq_ext_power_oracle(entries, k)

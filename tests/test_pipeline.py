@@ -351,6 +351,19 @@ def test_routes_reject_constants_of_another_type(route, constants):
         route(constants)
 
 
+TABLE_STAGES = {"ybar_invariants": ybar_invariants,
+                "yhat_invariants": yhat_invariants,
+                "og6_diamond": og6_diamond,
+                "markman_assembly": markman_assembly}
+
+
+@pytest.mark.parametrize("stage", TABLE_STAGES.values(), ids=TABLE_STAGES.keys())
+@pytest.mark.parametrize("table", ["x", None, {(0, 0): 1}], ids=repr)
+def test_stages_reject_tables_of_another_type(stage, table):
+    with pytest.raises(ValueError, match="must be a HodgeDiamond"):
+        stage(table)
+
+
 def test_pipeline_result_is_shared_per_constants():
     assert run_full_pipeline() is run_full_pipeline()
     assert run_full_pipeline(NamedConstants()) is run_full_pipeline()

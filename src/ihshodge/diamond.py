@@ -65,6 +65,12 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
+def _wrong_type(cls: type, *values: object) -> ValueError:
+    """The boundary error for the first of ``values`` that is not a ``cls``."""
+    bad = next(value for value in values if not isinstance(value, cls))
+    return ValueError(f"expected a {cls.__name__}, got {bad!r}")
+
+
 def _validated_entries(entries: Mapping[Bidegree, int],
                        dim: int | None = None) -> dict[Bidegree, int]:
     table: dict[Bidegree, int] = {}
@@ -303,6 +309,8 @@ def betti(d: HodgeDiamond) -> BettiVector:
     >>> betti(point).b
     (1,)
     """
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     n = d.complex_dimension
     if n is None:
         raise ValueError("betti needs a diamond with a complex dimension")
@@ -314,6 +322,8 @@ def betti(d: HodgeDiamond) -> BettiVector:
 
 def chi_p(d: HodgeDiamond, p: int) -> int:
     """Hirzebruch characteristic chi^p = sum over q of (-1)^q h^{p,q}."""
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     n = d.complex_dimension
     if n is None:
         raise ValueError("chi_p needs a diamond with a complex dimension")
@@ -324,11 +334,15 @@ def chi_p(d: HodgeDiamond, p: int) -> int:
 
 def euler_characteristic(d: HodgeDiamond) -> int:
     """Topological Euler characteristic sum (-1)^{p+q} h^{p,q}."""
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     return sum((-1) ** (p + q) * value for p, q, value in d.items())
 
 
 def weight_sums(d: HodgeDiamond) -> dict[int, int]:
     """Total dimension in each weight p+q, for any table."""
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     out: dict[int, int] = {}
     for p, q, value in d.items():
         out[p + q] = out.get(p + q, 0) + value
@@ -339,16 +353,18 @@ def weight_sums(d: HodgeDiamond) -> dict[int, int]:
 # table algebra (all results are abstract, i.e. dimensionless)
 
 
-def _wrong_type(cls: type, *values: object) -> ValueError:
-    """The boundary error for the first of ``values`` that is not a ``cls``."""
-    bad = next(value for value in values if not isinstance(value, cls))
-    return ValueError(f"expected a {cls.__name__}, got {bad!r}")
-
-
 def direct_sum(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
-    """Entrywise sum of two tables."""
+    """Entrywise sum of two tables.
+
+    When one side is empty and the other is already abstract, that other
+    side is the result and is returned as it is.
+    """
     if not (isinstance(a, HodgeDiamond) and isinstance(b, HodgeDiamond)):
         raise _wrong_type(HodgeDiamond, a, b)
+    if not b._entries and a._dim is None:
+        return a
+    if not a._entries and b._dim is None:
+        return b
     table = dict(a._entries)
     for key, value in b._entries.items():
         table[key] = table.get(key, 0) + value
@@ -383,6 +399,8 @@ def tate_twist(d: HodgeDiamond, k: int) -> HodgeDiamond:
 
     ``k`` may be negative as long as all shifted indices stay >= 0.
     """
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     if not _is_int(k):
         raise ValueError(f"twist must be an integer, got {k!r}")
     table: dict[Bidegree, int] = {}
@@ -407,11 +425,14 @@ def _graded_powers(d: HodgeDiamond, k: int, block,
 
     ``block(m, j)`` is the dimension of the j-th power functor applied to
     a single m-dimensional piece.  The first piece seeds each table; later
-    pieces are convolved in.  Odd total degrees are rejected.
+    pieces are convolved in.  Odd total degrees are rejected.  An empty
+    table, once ``k`` is checked, gives {(0, 0): 1} and then k empty tables.
     """
     if not _is_int(k) or k < 0:
         raise ValueError("power index must be a nonnegative integer")
     acc: list[dict[Bidegree, int]] = [{(0, 0): 1}] + [{} for _ in range(k)]
+    if not d._entries:
+        return acc
     for i, ((p, q), m) in enumerate(d._entries.items()):
         if (p + q) % 2:
             raise ValueError(f"{op} needs even total degrees only; "
@@ -523,6 +544,8 @@ class CheckReport(_Record):
 
 def check_diamond(d: HodgeDiamond) -> CheckReport:
     """Report violations of Hodge symmetry, Poincare duality and positivity."""
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     n = d.complex_dimension
     if n is None:
         raise ValueError("check_diamond needs a diamond with a complex dimension")
@@ -554,6 +577,8 @@ def complete_by_duality(d: HodgeDiamond, n: int) -> HodgeDiamond:
     present above the middle must agree with its mirror, otherwise a
     :class:`ConsistencyError` is raised.
     """
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     if not _is_int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     table: dict[Bidegree, int] = {}

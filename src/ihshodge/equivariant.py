@@ -62,16 +62,16 @@ class EquivariantDiamond(_Record):
     def __init__(self, entries: Mapping[Bidegree, EigenPair] = ()):
         if type(entries) is not dict and not isinstance(entries, Mapping):
             entries = dict(entries)
-        plus: dict = {}
-        minus: dict = {}
+        plus, minus = {}, {}
         for key, pair in entries.items():
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValueError(
                     f"eigenspace dimensions at {key!r} must be an integer "
                     f"pair, got {pair!r}")
             plus[key], minus[key] = pair
-        super().__init__(HodgeDiamond._trusted(_validated_entries(plus)),
-                         HodgeDiamond._trusted(_validated_entries(minus)))
+        plus, minus = _validated_entries(plus), _validated_entries(minus)
+        object.__setattr__(self, "_plus", HodgeDiamond._trusted(plus))
+        object.__setattr__(self, "_minus", HodgeDiamond._trusted(minus))
 
     @classmethod
     def _from_parts(cls, plus: HodgeDiamond,
@@ -115,7 +115,10 @@ def invariant_part(d: EquivariantDiamond) -> HodgeDiamond:
 
 
 def forget(d: EquivariantDiamond) -> HodgeDiamond:
-    """Drop the involution: total dimension plus + minus per bidegree."""
+    """Drop the involution: total dimension plus + minus per bidegree.
+
+    An empty eigenspace makes the other one the result, the same object.
+    """
     if not isinstance(d, EquivariantDiamond):
         raise _wrong_type(EquivariantDiamond, d)
     return direct_sum(d._plus, d._minus)
@@ -147,6 +150,8 @@ def eq_tensor(a: EquivariantDiamond, b: EquivariantDiamond) -> EquivariantDiamon
 
 def eq_tate_twist(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
     """Shift every entry from (p, q) to (p+k, q+k), keeping the signs."""
+    if not isinstance(d, EquivariantDiamond):
+        raise _wrong_type(EquivariantDiamond, d)
     return EquivariantDiamond._from_parts(tate_twist(d._plus, k),
                                           tate_twist(d._minus, k))
 
@@ -160,7 +165,8 @@ def _eq_power(d: EquivariantDiamond, k: int, block,
     minus = _graded_powers(d._minus, k, block, op)
     signed: tuple[dict, dict] = ({}, {})
     for i in range(k + 1):
-        _convolve(plus[i], minus[k - i], signed[(k - i) % 2])
+        if plus[i] and minus[k - i]:
+            _convolve(plus[i], minus[k - i], signed[(k - i) % 2])
     return EquivariantDiamond._from_parts(HodgeDiamond._trusted(signed[0]),
                                           HodgeDiamond._trusted(signed[1]))
 

@@ -7,7 +7,7 @@ trivially correct.  The test modules compare the two.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 Bidegree = tuple[int, int]
@@ -49,6 +49,28 @@ def eq_ext_power_oracle(entries: dict[Bidegree, tuple[int, int]],
     """Position-strictly-increasing selections of k basis vectors."""
     basis = _signed_basis(entries)
     return _collect(combinations(basis, k))
+
+
+def eq_tensor_oracle(a: dict[Bidegree, tuple[int, int]],
+                     b: dict[Bidegree, tuple[int, int]]
+                     ) -> dict[Bidegree, tuple[int, int]]:
+    """One basis vector from each side, graded by degree and sign product."""
+    return _collect(product(_signed_basis(a), _signed_basis(b)))
+
+
+def eq_sum_oracle(a: dict[Bidegree, tuple[int, int]],
+                  b: dict[Bidegree, tuple[int, int]]
+                  ) -> dict[Bidegree, tuple[int, int]]:
+    """Every basis vector of either side on its own."""
+    return _collect((vector,) for vector in _signed_basis(a) + _signed_basis(b))
+
+
+def forget_oracle(entries: dict[Bidegree, tuple[int, int]]) -> dict[Bidegree, int]:
+    """Basis vectors counted by degree, whatever their sign."""
+    table: dict[Bidegree, int] = {}
+    for degree, _ in _signed_basis(entries):
+        table[degree] = table.get(degree, 0) + 1
+    return table
 
 
 def sym_power_oracle(entries: dict[Bidegree, int],

@@ -28,7 +28,7 @@ from ihshodge.diamond import (
     weight_sums,
 )
 from ihshodge.equivariant import EquivariantDiamond
-from ihshodge.goettsche import TruncatedSeries3
+from ihshodge.goettsche import TruncatedSeries3, surface_diamond
 
 OG6_LOWER = [
     (0, 0, 1),
@@ -387,6 +387,20 @@ def test_powers_seeded_by_first_piece_match_oracle(entries, k):
     assert sym_power(d, k).entries == sym_power_oracle(entries, k)
     assert ext_power(d, k).entries == ext_power_oracle(entries, k)
     assert sym_power(d, 0) == ext_power(d, 0) == HodgeDiamond({(0, 0): 1})
+
+
+def test_direct_sum_with_an_empty_side():
+    k3 = surface_diamond("k3")
+    empty = HodgeDiamond({})
+    for result in (direct_sum(k3, empty), direct_sum(empty, k3)):
+        assert result.complex_dimension is None
+        assert result == HodgeDiamond(k3.entries)
+    abstract = HodgeDiamond(K3_ENTRIES)
+    empty_surface = HodgeDiamond({}, complex_dimension=2)
+    for other in (empty, empty_surface):
+        assert direct_sum(abstract, other) is abstract
+        assert direct_sum(other, abstract) is abstract
+    assert direct_sum(empty_surface, HodgeDiamond({}, 3)) == empty
 
 
 def test_trusted_drops_zeros_and_sorts():

@@ -2,20 +2,34 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import eq_ext_power_oracle, eq_sym_power_oracle
+from _oracles import (
+    eq_ext_power_oracle,
+    eq_sum_oracle,
+    eq_sym_power_oracle,
+    eq_tensor_oracle,
+    forget_oracle,
+)
+from ihshodge import checks
 from ihshodge.diamond import (
     HodgeDiamond,
+    betti,
+    check_diamond,
+    chi_p,
+    complete_by_duality,
     direct_sum,
+    euler_characteristic,
     ext_power,
     sym_power,
     tate_twist,
     tensor,
+    weight_sums,
 )
 from ihshodge.equivariant import (
     EquivariantDiamond,
@@ -273,6 +287,31 @@ def test_table_operations_reject_other_types(operation, value, expected):
         operation(value)
 
 
+TWIST_AND_INVARIANT_OPERATIONS = {
+    "tate_twist": lambda x: tate_twist(x, 1),
+    "betti": betti,
+    "chi_p": lambda x: chi_p(x, 0),
+    "euler_characteristic": euler_characteristic,
+    "weight_sums": weight_sums,
+    "check_diamond": check_diamond,
+    "complete_by_duality": lambda x: complete_by_duality(x, 2),
+}
+TWIST_AND_INVARIANT_CASES = (
+    [pytest.param(op, value, "HodgeDiamond", id=f"{name}-{kind}")
+     for name, op in TWIST_AND_INVARIANT_OPERATIONS.items()
+     for kind, value in {**NOT_TABLES, "equivariant": SPLIT}.items()]
+    + [pytest.param(lambda x: eq_tate_twist(x, 1), value, "EquivariantDiamond",
+                    id=f"eq_tate_twist-{kind}")
+       for kind, value in {**NOT_TABLES, "plain": PLAIN}.items()])
+
+
+@pytest.mark.parametrize("operation, value, expected", TWIST_AND_INVARIANT_CASES)
+def test_twists_and_invariants_reject_other_types(operation, value, expected):
+    message = f"expected a {expected}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        operation(value)
+
+
 def plain_table_strategy():
     degrees = EVEN_DEGREES + [(1, 0), (2, 1)]
     return st.dictionaries(st.sampled_from(degrees), st.integers(0, 4),
@@ -304,6 +343,7 @@ SEED_EDGE_TABLES = {
     "empty": {},
     "single piece": {(1, 1): (2, 1)},
     "only minus": {(1, 1): (0, 3)},
+    "only plus": {(0, 0): (1, 0), (1, 1): (3, 0)},
     "first piece below k": {(0, 0): (1, 1), (1, 1): (2, 0)},
     "pieces below k on both sides": {(0, 0): (1, 0), (2, 0): (0, 1), (1, 1): (1, 1)},
 }
@@ -316,3 +356,55 @@ def test_eq_powers_seeded_by_first_piece_match_oracle(entries, k):
     d = EquivariantDiamond(entries)
     assert eq_sym_power(d, k).entries == eq_sym_power_oracle(entries, k)
     assert eq_ext_power(d, k).entries == eq_ext_power_oracle(entries, k)
+
+
+# ---------------------------------------------------------------------------
+# empty eigenspaces
+
+
+@pytest.mark.parametrize("left", SEED_EDGE_TABLES.values(),
+                         ids=SEED_EDGE_TABLES.keys())
+@pytest.mark.parametrize("right", SEED_EDGE_TABLES.values(),
+                         ids=SEED_EDGE_TABLES.keys())
+def test_sums_and_tensors_with_an_empty_eigenspace_match_oracles(left, right):
+    a, b = EquivariantDiamond(left), EquivariantDiamond(right)
+    assert eq_tensor(a, b).entries == eq_tensor_oracle(left, right)
+    assert eq_sum(a, b).entries == eq_sum_oracle(left, right)
+    assert forget(a).entries == forget_oracle(left)
+
+
+@pytest.mark.parametrize("k", [-1, True, 1.5])
+def test_empty_tables_still_reject_a_bad_power_index(k):
+    for operation, table in ((sym_power, HodgeDiamond({})),
+                             (ext_power, HodgeDiamond({})),
+                             (eq_sym_power, EquivariantDiamond({})),
+                             (eq_ext_power, EquivariantDiamond({}))):
+        with pytest.raises(ValueError, match="power index"):
+            operation(table, k)
+
+
+# ---------------------------------------------------------------------------
+# the referee loop of ``check --suite equivariant``
+
+
+def test_referee_draws_the_pinned_tables():
+    rng = random.Random(64001)
+    tables = [checks._random_equivariant(rng) for _ in range(400)]
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == "27fa354fdc6bfa9483230f3d8c33c853b087d9894590904a36cb80cf0cd1b052"
+
+
+def bumped(operation):
+    """``operation`` with one more invariant class at (0, 0)."""
+    def mutant(*args):
+        result = operation(*args)
+        plus, minus = result.pair(0, 0)
+        return EquivariantDiamond({**result.entries, (0, 0): (plus + 1, minus)})
+    return mutant
+
+
+@pytest.mark.parametrize("name", ["eq_sym_power", "eq_ext_power", "eq_tensor"])
+def test_referee_catches_a_faulty_operation(monkeypatch, name):
+    monkeypatch.setattr(checks, name, bumped(getattr(checks, name)))
+    results = {r.name: r for r in checks.run_suite("equivariant")}
+    assert not results["equivariant: forgetting commutes on 200 random tables"].ok

@@ -24,9 +24,11 @@ the recurrence
 from F_0 = 1; H_{N,j} is F_{N-j} once 2j > N.  Only the two-variable
 slices F_0..F_n are built: each H_{N,j} is a sum of shifted slices and
 T_j has at most |S| terms.  Every monomial of F_N and of T_j H_{N,j} has
-x- and y-degree at most 2N, so a slice is a dict keyed by the packed
-integer a + (2n+1) b: adding keys adds exponents without carries, and no
-two monomials of a slice share a key.
+x- and y-degree at most 2N, so x^a y^b packs into the key a + (2n+1) b:
+adding keys adds exponents without carries.  N F_N is summed in a list
+indexed by the key, which is at most 2N(2n+2).  H_{N,j} and the slices
+stay sparse dicts keyed by it: most of their cells are zero, and the
+T_j H_{N,j} products should visit only nonzero pairs.
 
 :class:`TruncatedSeries3` with :func:`factor_power` and
 :func:`series_mul` multiply the product out factor by factor.  They are
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
+from itertools import compress
 
 from .diamond import ConsistencyError, HodgeDiamond, _Record, _is_int
 
@@ -51,8 +54,8 @@ __all__ = [
     "surface_diamond",
 ]
 
-# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.16 s and
-# abelian^[30] about 0.42 s (CPython 3.11, one core of a shared x86 host),
+# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.15 s and
+# abelian^[30] about 0.4 s (CPython 3.11, one core of a shared x86 host),
 # and the cost grows steeply with n, so a larger limit only invites long runs.
 DEFAULT_MAX_N = 30
 
@@ -218,13 +221,12 @@ def abelian_fourfold_diamond() -> HodgeDiamond:
 
 
 def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> dict[int, int]:
-    """F_n by the recurrence N F_N = sum_j T_j H_{N,j}, packed keys."""
+    """F_n by N F_N = sum_j T_j H_{N,j}; N F_N is a list by packed key."""
     terms = [[(j * (p + base * q), h if j % 2 or (p + q) % 2 == 0 else -h)
               for p, q, h in surface.items()] for j in range(n + 1)]
     f: list[dict[int, int]] = [{0: 1}]
     for big_n in range(1, n + 1):
-        acc: dict[int, int] = {}
-        get = acc.get
+        acc = [0] * (2 * big_n * (base + 1) + 1)
         for j in range(1, big_n + 1):
             if 2 * j > big_n:
                 h_nj = f[big_n - j]
@@ -236,19 +238,17 @@ def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> dict[int, int]:
                         h_nj[kf + shift] = h_nj.get(kf + shift, 0) + k * cf
             for kt, ct in terms[j]:
                 for kh, ch in h_nj.items():
-                    key = kt + kh
-                    acc[key] = get(key, 0) + ct * ch
-        # Odd classes cancel many terms; dropping them keeps every later
-        # pass over this slice short.
+                    acc[kt + kh] += ct * ch
+        # The slices stay sparse dicts: odd classes cancel many terms, and
+        # each later T_j H_{N,j} pass should visit only nonzero entries.
         slice_n: dict[int, int] = {}
-        for key, value in acc.items():
+        for key, value in compress(enumerate(acc), acc):
             coeff, remainder = divmod(value, big_n)
             if remainder:
                 raise ConsistencyError(
                     f"coefficient {value} at x^{key % base} y^{key // base} "
                     f"t^{big_n} of t dF/dt is not divisible by {big_n}")
-            if coeff:
-                slice_n[key] = coeff
+            slice_n[key] = coeff
         f.append(slice_n)
     return f[n]
 

@@ -6,7 +6,7 @@ identical, so the command line tool can be diffed in scripts.
 
 from __future__ import annotations
 
-from .diamond import BettiVector, HodgeDiamond, weight_sums
+from .diamond import BettiVector, HodgeDiamond, _wrong_type, weight_sums
 from .pipeline import ChernReport, PipelineTrace
 
 __all__ = [
@@ -27,6 +27,8 @@ def _weight_cells(d: HodgeDiamond, weight: int) -> list[tuple[int, int]]:
 
 def diamond_text(d: HodgeDiamond) -> str:
     """Centered triangle of the h^{p,q}, one cohomological weight per row."""
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     n = d.complex_dimension
     if n is None:
         raise ValueError("text rendering needs a diamond with a dimension")
@@ -43,6 +45,8 @@ def diamond_text(d: HodgeDiamond) -> str:
 
 def diamond_latex(d: HodgeDiamond) -> str:
     """Triangular array of the nonzero H^{p,q}, one weight per row."""
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     n = d.complex_dimension
     if n is None:
         raise ValueError("latex rendering needs a diamond with a dimension")
@@ -63,10 +67,14 @@ def diamond_latex(d: HodgeDiamond) -> str:
 
 
 def betti_text(b: BettiVector) -> str:
+    if not isinstance(b, BettiVector):
+        raise _wrong_type(BettiVector, b)
     return "Betti numbers: " + " ".join(str(v) for v in b.b)
 
 
 def chern_text(report: ChernReport) -> str:
+    if not isinstance(report, ChernReport):
+        raise _wrong_type(ChernReport, report)
     return (
         f"chi^0 = {report.chi0}, chi^1 = {report.chi1}, "
         f"chi^2 = {report.chi2}\n"
@@ -77,6 +85,8 @@ def chern_text(report: ChernReport) -> str:
 
 def trace_text(trace: PipelineTrace) -> str:
     """One line per stage: tag, weight sums of the output, corrections."""
+    if not isinstance(trace, PipelineTrace):
+        raise _wrong_type(PipelineTrace, trace)
     lines = ["Derivation trace:"]
     for step in trace.steps:
         sums = weight_sums(step.output)

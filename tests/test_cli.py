@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ihshodge import cli
+from ihshodge import cli, render
 from ihshodge.diamond import HodgeDiamond
 from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
 from ihshodge.pipeline import STAGE_ORDER, NamedConstants, run_full_pipeline
@@ -210,3 +210,19 @@ def test_repeated_in_process_calls_match_golden_bytes(capsys):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.encode("utf-8") == \
             (GOLDEN / golden).read_bytes(), argv
+
+
+# ---------------------------------------------------------------------------
+# the render functions take only the value they render
+
+
+RENDERERS = {"diamond_text": "HodgeDiamond", "diamond_latex": "HodgeDiamond",
+             "betti_text": "BettiVector", "chern_text": "ChernReport",
+             "trace_text": "PipelineTrace"}
+
+
+@pytest.mark.parametrize("name", RENDERERS)
+@pytest.mark.parametrize("value", [None, "x", 5], ids=repr)
+def test_render_functions_reject_other_types(name, value):
+    with pytest.raises(ValueError, match=f"expected a {RENDERERS[name]}, got"):
+        getattr(render, name)(value)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from _oracles import (
 )
 from ihshodge.checks import _product_formula_slices
 from ihshodge.diamond import (
+    ConsistencyError,
     HodgeDiamond,
     betti,
     check_diamond,
@@ -278,6 +281,19 @@ def test_hilb_odd_cohomology_stays_nonnegative():
     assert all(value > 0 for _, _, value in d.items())
 
 
+@pytest.mark.parametrize("h11, message", [
+    (-1, "negative coefficient -1 at x^1 y^1 t^1"),
+    (Fraction(1, 2),
+     "coefficient 1/2 at x^1 y^1 t^1 of t dF/dt is not divisible by 1"),
+])
+def test_hilb_guards_name_the_decoded_monomial(h11, message):
+    # Tables no surface has, built unvalidated, reach each guard; the
+    # message names the bidegree decoded from the packed key.
+    fake = HodgeDiamond._trusted({**surface_diamond("k3").entries, (1, 1): h11}, 2)
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        hilbert_scheme_diamond(fake, 1)
+
+
 # ---------------------------------------------------------------------------
 # large n against one-variable generating functions
 
@@ -291,11 +307,26 @@ def test_k3_hilb_euler_betti_and_salamon(n):
     assert check_diamond(d).ok
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", [*range(9), DEFAULT_MAX_N])
 def test_abelian_hilb_betti_numbers(n):
     d = hilbert_scheme_diamond(surface_diamond("abelian"), n, max_n=n)
     assert list(betti(d).b) == goettsche_betti_row([1, 4, 6, 4, 1], n)
     assert check_diamond(d).ok
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_hilb_betti_numbers_on_random_surfaces(n):
+    # The benchmark's table shapes and sizes, against the one-variable product.
+    rng = random.Random(20262 + n)
+    for _ in range(4):
+        q, pg, h11 = rng.randint(0, 2), rng.randint(0, 4), rng.randint(1, 50)
+        surface = HodgeDiamond({(0, 0): 1, (1, 0): q, (0, 1): q, (2, 0): pg,
+                                (1, 1): h11, (0, 2): pg, (2, 1): q, (1, 2): q,
+                                (2, 2): 1}, complex_dimension=2)
+        d = hilbert_scheme_diamond(surface, n)
+        assert list(betti(d).b) == \
+            goettsche_betti_row([1, 2 * q, 2 * pg + h11, 2 * q, 1], n), surface
+        assert check_diamond(d).ok, surface
 
 
 def test_recurrence_matches_product_formula_on_random_surfaces():

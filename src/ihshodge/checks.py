@@ -257,6 +257,6 @@ def run_suite(name: str) -> list[CheckResult]:
         for suite in SUITE_NAMES:
             results.extend(_SUITES[suite]())
         return results
-    if name not in _SUITES:
+    if not isinstance(name, str) or name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return _SUITES[name]()

@@ -496,6 +496,8 @@ def salamon_residual(b: BettiVector) -> int:
     >>> salamon_residual(BettiVector(2, (1, 0, 23, 0, 276)))
     0
     """
+    if not isinstance(b, BettiVector):
+        raise _wrong_type(BettiVector, b)
     n = b.n
     total = sum((-1) ** j * (3 * j * j - n) * b.b[2 * n - j]
                 for j in range(1, 2 * n + 1))

@@ -61,7 +61,11 @@ class EquivariantDiamond(_Record):
 
     def __init__(self, entries: Mapping[Bidegree, EigenPair] = ()):
         if type(entries) is not dict and not isinstance(entries, Mapping):
-            entries = dict(entries)
+            try:
+                entries = dict(entries)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"entries must be a mapping or ((p, q), (plus, "
+                                 f"minus)) pairs, got {entries!r}") from exc
         plus, minus = {}, {}
         for key, pair in entries.items():
             if not isinstance(pair, tuple) or len(pair) != 2:

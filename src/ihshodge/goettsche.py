@@ -204,7 +204,7 @@ def surface_diamond(kind: str) -> HodgeDiamond:
     """
     if kind == "point":
         return HodgeDiamond({(0, 0): 1}, complex_dimension=0)
-    if kind not in _SURFACES:
+    if not isinstance(kind, str) or kind not in _SURFACES:
         raise ValueError(f"unknown surface kind {kind!r}")
     return HodgeDiamond(_SURFACES[kind], complex_dimension=2)
 

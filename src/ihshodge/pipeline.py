@@ -25,10 +25,12 @@ middle Betti numbers of the result must also solve the Salamon plus
 Euler characteristic linear system, and the top Chern number must equal
 the topological Euler characteristic.
 
-Only bidegrees with p + q <= 6 are tracked through the chain; the upper
-half of the final diamond is recovered by duality, and
-:func:`og6_via_dual_degrees` re-runs the corrections at the mirrored
-bidegrees to confirm that this completion is consistent.
+The chain is one table of (stage tag, corrections builder).  Only
+bidegrees with p + q <= 6 are tracked through it, and the trace records
+the p + q <= 6 corrections each stage applied; the upper half of the
+final diamond is recovered by duality.  :func:`og6_via_dual_degrees`
+sums the same builders and applies them at every bidegree to confirm
+that this completion is consistent.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .diamond import (
     HodgeDiamond,
     _Record,
     _is_int,
+    _wrong_type,
     betti,
     check_diamond,
     chi_p,
@@ -82,10 +85,6 @@ __all__ = [
     "ybar_invariants",
     "yhat_invariants",
 ]
-
-STAGE_ORDER = ("4fin", "3fin", "X-and-Y", "Kt-and-Ktt(2)", "Kt-and-Ktt(1)",
-               "thm:main")
-
 
 def quadric3_diamond() -> HodgeDiamond:
     """The smooth quadric threefold: h^{k,k} = 1 for k = 0..3."""
@@ -179,8 +178,7 @@ class PipelineTrace(_Record):
     def __init__(self, steps: tuple[TraceStep, ...]):
         tags = tuple(step.lemma for step in steps)
         if tags != STAGE_ORDER:
-            raise ValueError(
-                f"trace stages must be {STAGE_ORDER}, got {tags}")
+            raise ValueError(f"trace stages must be {STAGE_ORDER}, got {tags}")
         super().__init__(steps)
 
     def step(self, lemma: str) -> TraceStep:
@@ -228,7 +226,7 @@ def _require_constants(constants: object) -> None:
 
 
 def _require_table(table: object) -> None:
-    """The one type check of every stage function that takes a table."""
+    """The one type check of every pipeline function that takes a table."""
     if not isinstance(table, HodgeDiamond):
         raise ValueError(f"table must be a HodgeDiamond, got {table!r}")
 
@@ -289,9 +287,10 @@ def markman_equivariant(h2: EquivariantDiamond,
     """
     if not _is_int(weight) or weight not in (4, 6):
         raise ValueError(f"weight must be 4 or 6, got {weight!r}")
-    for p, q, _, _ in h2.items():
-        if p + q != 2:
-            raise ValueError("markman_equivariant expects a weight 2 table")
+    if not isinstance(h2, EquivariantDiamond):
+        raise _wrong_type(EquivariantDiamond, h2)
+    if any(p + q != 2 for p, q, _, _ in h2.items()):
+        raise ValueError("markman_equivariant expects a weight 2 table")
     if weight == 4:
         return eq_sum(eq_sym_power(h2, 2), eq_tate_twist(h2, 1))
     twisted = eq_tate_twist(eq_ext_power(h2, 2), 1)
@@ -318,14 +317,6 @@ def markman_assembly(h2_total: HodgeDiamond) -> HodgeDiamond:
     return complete_by_duality(forget(_lower_cohomology(h2)), 6)
 
 
-def _require_lower_half(d: HodgeDiamond, op: str) -> None:
-    _require_table(d)
-    for p, q, _ in d.items():
-        if p + q > 6:
-            raise ValueError(
-                f"{op} expects a table supported in p+q <= 6; found ({p},{q})")
-
-
 def _apply_corrections(d: HodgeDiamond, corrections: dict[Bidegree, int],
                        complex_dimension: int | None = None) -> HodgeDiamond:
     table = d.entries
@@ -341,24 +332,8 @@ def _apply_corrections(d: HodgeDiamond, corrections: dict[Bidegree, int],
     return HodgeDiamond(table, complex_dimension=complex_dimension)
 
 
-def _lower_half(corrections: dict[Bidegree, int]) -> dict[Bidegree, int]:
-    return {key: delta for key, delta in corrections.items() if sum(key) <= 6}
-
-
-def _corrections_between(before: HodgeDiamond, after: HodgeDiamond
-                         ) -> tuple[tuple[int, int, int], ...]:
-    """The (p, q, delta) triples a stage added to turn one table into the other."""
-    keys = sorted(before.entries.keys() | after.entries.keys())
-    return tuple((p, q, after.h(p, q) - before.h(p, q)) for p, q in keys
-                 if after.h(p, q) != before.h(p, q))
-
-
 # ---------------------------------------------------------------------------
 # stages 3fin .. thm:main: corrections along the birational chain
-#
-# Each correction dict holds the blow-up classes at every bidegree of the
-# 6-fold; the main chain applies only their p + q <= 6 part, while
-# og6_via_dual_degrees applies them whole.
 
 
 def _ybar_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
@@ -370,6 +345,47 @@ def _ybar_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
     return _blowup_classes(incidence, 2, constants.two_torsion_count)
 
 
+def _yhat_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
+    return _blowup_classes(delta_bar_diamond(constants), 2, 1)
+
+
+def _quadric_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
+    return _blowup_classes(constants.quadric3, 3, -constants.two_torsion_count)
+
+
+# (tag, corrections builder or None) for every stage before thm:main, in order
+_CHAIN = (("4fin", None), ("3fin", _ybar_corrections), ("X-and-Y", _yhat_corrections),
+          ("Kt-and-Ktt(2)", None), ("Kt-and-Ktt(1)", _quadric_corrections))
+STAGE_ORDER = tuple(tag for tag, _ in _CHAIN) + ("thm:main",)
+
+
+def _correct(table: HodgeDiamond, build, constants: NamedConstants,
+             op: str) -> tuple[HodgeDiamond, tuple[tuple[int, int, int], ...]]:
+    """Apply the nonzero p + q <= 6 part of ``build(constants)`` to a table.
+
+    Returns the new table and the applied (p, q, delta) triples, sorted.
+    """
+    _require_constants(constants)
+    _require_table(table)
+    for p, q, _ in table.items():
+        if p + q > 6:
+            raise ValueError(
+                f"{op} expects a table supported in p+q <= 6; found ({p},{q})")
+    applied = sorted((p, q, delta) for (p, q), delta in build(constants).items()
+                     if delta and p + q <= 6)
+    return _apply_corrections(table, {(p, q): d for p, q, d in applied}), tuple(applied)
+
+
+def _complete(lower: HodgeDiamond) -> HodgeDiamond:
+    """Mirror a p + q <= 6 table to a 6-fold and validate it as a diamond."""
+    completed = complete_by_duality(lower, 6)
+    report = check_diamond(completed)
+    if not report.ok:
+        raise ConsistencyError("the completed table is not a valid 6-fold diamond: "
+                               + "; ".join(report.violations))
+    return completed
+
+
 def ybar_invariants(y_inv: HodgeDiamond,
                     constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDiamond:
     """Invariant cohomology after blowing up the 256 incidence loci.
@@ -378,13 +394,7 @@ def ybar_invariants(y_inv: HodgeDiamond,
     classes with a Tate shift, giving +256, +256, +512 on the diagonal
     entries (1,1), (2,2), (3,3) of the invariant table.
     """
-    _require_constants(constants)
-    _require_lower_half(y_inv, "ybar_invariants")
-    return _apply_corrections(y_inv, _lower_half(_ybar_corrections(constants)))
-
-
-def _yhat_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
-    return _blowup_classes(delta_bar_diamond(constants), 2, 1)
+    return _correct(y_inv, _ybar_corrections, constants, "ybar_invariants")[0]
 
 
 def yhat_invariants(ybar_inv: HodgeDiamond,
@@ -397,13 +407,7 @@ def yhat_invariants(ybar_inv: HodgeDiamond,
     The result is also the blow-up of the OG6 manifold along 256 quadric
     threefolds (stage ``Kt-and-Ktt(2)``).
     """
-    _require_constants(constants)
-    _require_lower_half(ybar_inv, "yhat_invariants")
-    return _apply_corrections(ybar_inv, _lower_half(_yhat_corrections(constants)))
-
-
-def _quadric_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
-    return _blowup_classes(constants.quadric3, 3, -constants.two_torsion_count)
+    return _correct(ybar_inv, _yhat_corrections, constants, "yhat_invariants")[0]
 
 
 def og6_diamond(khat: HodgeDiamond,
@@ -415,16 +419,7 @@ def og6_diamond(khat: HodgeDiamond,
     entries to the upper half and validates the result as a 6-fold
     diamond.
     """
-    _require_constants(constants)
-    _require_lower_half(khat, "og6_diamond")
-    lower = _apply_corrections(khat, _lower_half(_quadric_corrections(constants)))
-    completed = complete_by_duality(lower, 6)
-    report = check_diamond(completed)
-    if not report.ok:
-        raise ConsistencyError(
-            "the completed table is not a valid 6-fold diamond: "
-            + "; ".join(report.violations))
-    return completed
+    return _complete(_correct(khat, _quadric_corrections, constants, "og6_diamond")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +433,7 @@ def chern_numbers(d: HodgeDiamond) -> ChernReport:
     with the Euler characteristic of the table, which happens exactly
     when the input is not the diamond of a hyperkaehler 6-fold.
     """
+    _require_table(d)
     if d.complex_dimension != 6:
         raise ValueError("chern_numbers needs a 6-dimensional diamond")
     chi0 = chi_p(d, 0)
@@ -490,22 +486,15 @@ def run_full_pipeline(constants: NamedConstants = DEFAULT_CONSTANTS
 
 @functools.lru_cache(maxsize=16)
 def _derive(constants: NamedConstants) -> PipelineResult:
-    y_inv = _assemble_invariants(constants)
-    ybar = ybar_invariants(y_inv, constants)
-    yhat = yhat_invariants(ybar, constants)
-    diamond = og6_diamond(yhat, constants)
-    lower = HodgeDiamond._trusted({(p, q): value for p, q, value
-                                   in diamond.items() if p + q <= 6})
-    trace = PipelineTrace((
-        TraceStep("4fin", y_inv, ()),
-        TraceStep("3fin", ybar, _corrections_between(y_inv, ybar)),
-        TraceStep("X-and-Y", yhat, _corrections_between(ybar, yhat)),
-        TraceStep("Kt-and-Ktt(2)", yhat, ()),
-        TraceStep("Kt-and-Ktt(1)", lower, _corrections_between(yhat, lower)),
-        TraceStep("thm:main", diamond, ()),
-    ))
+    table = _assemble_invariants(constants)
+    steps = []
+    for tag, build in _CHAIN:
+        table, applied = _correct(table, build, constants, tag) if build else (table, ())
+        steps.append(TraceStep(tag, table, applied))
+    diamond = _complete(table)
+    steps.append(TraceStep(STAGE_ORDER[-1], diamond, ()))
     return PipelineResult(diamond, _cross_validate(diamond, constants),
-                          chern_numbers(diamond), trace)
+                          chern_numbers(diamond), PipelineTrace(tuple(steps)))
 
 
 def _cross_validate(diamond: HodgeDiamond,
@@ -537,9 +526,9 @@ def _cross_validate(diamond: HodgeDiamond,
 
 def _dual_degree_table(constants: NamedConstants) -> HodgeDiamond:
     """The dual-degree bookkeeping of :func:`og6_via_dual_degrees`, unchecked."""
-    corrections = Counter(_ybar_corrections(constants))
-    corrections.update(_yhat_corrections(constants))
-    corrections.update(_quadric_corrections(constants))
+    corrections = Counter()
+    for _, build in _CHAIN:
+        corrections.update(build(constants) if build else {})
     table = complete_by_duality(_assemble_invariants(constants), 6)
     return _apply_corrections(table, corrections, 6)
 

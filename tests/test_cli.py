@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ihshodge import cli, render
+from ihshodge import checks, cli, render
 from ihshodge.diamond import HodgeDiamond
 from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
 from ihshodge.pipeline import STAGE_ORDER, NamedConstants, run_full_pipeline
@@ -179,6 +179,9 @@ def test_check_all_suites():
 def test_check_unknown_suite_is_a_usage_error():
     proc = run_cli("check", "--suite", "bogus")
     assert proc.returncode == 2
+    for name in ({}, []):
+        with pytest.raises(ValueError, match="unknown suite"):
+            checks.run_suite(name)
 
 
 def test_missing_subcommand_is_a_usage_error():

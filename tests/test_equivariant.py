@@ -26,6 +26,7 @@ from ihshodge.diamond import (
     direct_sum,
     euler_characteristic,
     ext_power,
+    salamon_residual,
     sym_power,
     tate_twist,
     tensor,
@@ -68,7 +69,8 @@ def test_negative_pair_rejected():
     {(1, 1): (True, False)},
     {(True, 1): (1, 0)},
     {(-1, 1): (1, 0)},
-], ids=["scalar", "triple", "list", "bool-pair", "bool-key", "negative-key"])
+    5,
+], ids=["scalar", "triple", "list", "bool-pair", "bool-key", "negative-key", "int"])
 def test_invalid_entries_rejected(entries):
     with pytest.raises(ValueError):
         EquivariantDiamond(entries)
@@ -302,7 +304,8 @@ TWIST_AND_INVARIANT_CASES = (
      for kind, value in {**NOT_TABLES, "equivariant": SPLIT}.items()]
     + [pytest.param(lambda x: eq_tate_twist(x, 1), value, "EquivariantDiamond",
                     id=f"eq_tate_twist-{kind}")
-       for kind, value in {**NOT_TABLES, "plain": PLAIN}.items()])
+       for kind, value in {**NOT_TABLES, "plain": PLAIN}.items()]
+    + [pytest.param(salamon_residual, "x", "BettiVector", id="salamon_residual-str")])
 
 
 @pytest.mark.parametrize("operation, value, expected", TWIST_AND_INVARIANT_CASES)

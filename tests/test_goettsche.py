@@ -185,8 +185,9 @@ def test_surface_diamonds():
     point = surface_diamond("point")
     assert point.entries == {(0, 0): 1}
     assert point.complex_dimension == 0
-    with pytest.raises(ValueError):
-        surface_diamond("enriques")
+    for kind in ("enriques", {}, []):
+        with pytest.raises(ValueError, match="unknown surface kind"):
+            surface_diamond(kind)
 
 
 def test_abelian_fourfold_diamond():

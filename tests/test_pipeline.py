@@ -192,6 +192,8 @@ def test_markman_equivariant_validation():
         markman_equivariant(h2, 4.0)
     with pytest.raises(ValueError):
         markman_equivariant(EquivariantDiamond({(3, 3): (1, 0)}), 4)
+    with pytest.raises(ValueError, match="expected a EquivariantDiamond, got None"):
+        markman_equivariant(None, 4)
 
 
 def test_markman_assembly_matches_goettsche_route():
@@ -325,6 +327,34 @@ def test_trace_json_schema():
     assert payload[-1]["output"]["complex_dimension"] == 6
 
 
+PUBLIC_STAGES = {"3fin": ybar_invariants, "X-and-Y": yhat_invariants,
+                 "Kt-and-Ktt(1)": og6_diamond}
+
+
+def test_public_stages_and_trace_cannot_drift_apart():
+    steps = run_full_pipeline().trace.steps
+    final = steps[-1].output
+    assert steps[0].corrections == ()
+    for before, step in zip(steps, steps[1:]):
+        if step.lemma not in PUBLIC_STAGES:
+            assert step.corrections == ()
+            continue
+        expected = step.output
+        if step.lemma == "Kt-and-Ktt(1)":
+            # og6_diamond also completes the corrected lower half by duality
+            assert step.output.entries == {
+                (p, q): v for p, q, v in final.items() if p + q <= 6}
+            expected = final
+        assert PUBLIC_STAGES[step.lemma](before.output) == expected
+        applied = {(p, q): delta for p, q, delta in step.corrections}
+        assert list(step.corrections) == sorted(step.corrections)
+        assert 0 not in applied.values()
+        keys = before.output.entries.keys() | step.output.entries.keys() | applied.keys()
+        for p, q in keys:
+            assert step.output.h(p, q) - before.output.h(p, q) == \
+                applied.get((p, q), 0), (step.lemma, p, q)
+
+
 def test_trace_rejects_wrong_stage_order():
     trace = run_full_pipeline().trace
     shuffled = list(trace.steps)
@@ -354,7 +384,8 @@ def test_routes_reject_constants_of_another_type(route, constants):
 TABLE_STAGES = {"ybar_invariants": ybar_invariants,
                 "yhat_invariants": yhat_invariants,
                 "og6_diamond": og6_diamond,
-                "markman_assembly": markman_assembly}
+                "markman_assembly": markman_assembly,
+                "chern_numbers": chern_numbers}
 
 
 @pytest.mark.parametrize("stage", TABLE_STAGES.values(), ids=TABLE_STAGES.keys())

@@ -99,14 +99,14 @@ def _suite_salamon() -> list[CheckResult]:
 def _suite_duality() -> list[CheckResult]:
     out = []
     result = run_full_pipeline()
-    report = check_diamond(result.diamond)
+    violations = check_diamond(result.diamond)
     out.append(_check("duality: OG6 diamond passes symmetry and duality",
-                      report.ok, "; ".join(report.violations)))
+                      not violations, "; ".join(violations)))
     dual_route = og6_via_dual_degrees()
     out.append(_check("duality: correction chain at dual degrees agrees",
                       dual_route == result.diamond,
                       f"dual route differs: {dual_route!r}"))
-    khat = result.trace.step("Kt-and-Ktt(2)").output
+    khat = next(step.output for step in result.trace if step.lemma == "Kt-and-Ktt(2)")
     completed = complete_by_duality(khat, 6)
     gap = euler_characteristic(completed) - euler_characteristic(result.diamond)
     out.append(_check("duality: Euler bookkeeping of the quadric removal",

@@ -69,7 +69,7 @@ def _cmd_og6(args: argparse.Namespace) -> int:
             "chern": result.chern.to_json_dict(),
         }
         if args.trace:
-            payload["trace"] = result.trace.to_json_list()
+            payload["trace"] = [step.to_json_dict() for step in result.trace]
         print(json.dumps(payload, sort_keys=True))
         return 0
     if args.format == "latex":

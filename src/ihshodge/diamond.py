@@ -25,12 +25,11 @@ cohomology of a manifold.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
     "Bidegree",
     "BettiVector",
-    "CheckReport",
     "ConsistencyError",
     "HodgeDiamond",
     "betti",
@@ -283,6 +282,8 @@ class BettiVector(_Record):
     def __init__(self, n: int, b: tuple[int, ...]):
         if not _is_int(n) or n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        if not isinstance(b, Iterable):
+            raise _wrong_type(tuple, b)
         b = tuple(b)
         if len(b) != 2 * n + 1:
             raise ValueError(f"expected {2 * n + 1} Betti numbers for n={n}, got {len(b)}")
@@ -531,21 +532,11 @@ def solve_betti_dim6(b0: int, b2: int, chi_top: int) -> tuple[int, int]:
 # structural checks
 
 
-class CheckReport(_Record):
-    """Violations found by :func:`check_diamond`; empty means pass."""
+def check_diamond(d: HodgeDiamond) -> tuple[str, ...]:
+    """Violations of Hodge symmetry, Poincare duality and positivity.
 
-    __slots__ = ("violations",)
-
-    def __init__(self, violations: tuple[str, ...]):
-        object.__setattr__(self, "violations", violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_diamond(d: HodgeDiamond) -> CheckReport:
-    """Report violations of Hodge symmetry, Poincare duality and positivity."""
+    An empty tuple means the diamond passes.
+    """
     if not isinstance(d, HodgeDiamond):
         raise _wrong_type(HodgeDiamond, d)
     n = d.complex_dimension
@@ -569,7 +560,7 @@ def check_diamond(d: HodgeDiamond) -> CheckReport:
                     found.append(
                         f"poincare duality broken: h[{p},{q}]={d.h(p, q)} "
                         f"!= h[{n - p},{n - q}]={dual}")
-    return CheckReport(tuple(found))
+    return tuple(found)
 
 
 def complete_by_duality(d: HodgeDiamond, n: int) -> HodgeDiamond:

@@ -42,7 +42,7 @@ import math
 from collections.abc import Iterator, Mapping
 from itertools import compress
 
-from .diamond import ConsistencyError, HodgeDiamond, _Record, _is_int
+from .diamond import ConsistencyError, HodgeDiamond, _Record, _is_int, _wrong_type
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -87,6 +87,8 @@ class TruncatedSeries3(_Record):
     def __init__(self, coefficients: Mapping[Exponents, int],
                  max_xy: int, max_t: int):
         _check_bounds(max_xy, max_t)
+        if not isinstance(coefficients, Mapping):
+            raise _wrong_type(Mapping, coefficients)
         table: dict[Exponents, int] = {}
         for key, value in coefficients.items():
             if (not isinstance(key, tuple) or len(key) != 3
@@ -143,6 +145,8 @@ class TruncatedSeries3(_Record):
 
 def series_mul(a: TruncatedSeries3, b: TruncatedSeries3) -> TruncatedSeries3:
     """Product of two series with identical truncation bounds."""
+    if not (isinstance(a, TruncatedSeries3) and isinstance(b, TruncatedSeries3)):
+        raise _wrong_type(TruncatedSeries3, a, b)
     if a.max_xy != b.max_xy or a.max_t != b.max_t:
         raise ValueError(
             f"truncation bounds differ: ({a.max_xy},{a.max_t}) vs "

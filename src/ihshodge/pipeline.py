@@ -70,7 +70,6 @@ __all__ = [
     "ChernReport",
     "NamedConstants",
     "PipelineResult",
-    "PipelineTrace",
     "STAGE_ORDER",
     "TraceStep",
     "chern_numbers",
@@ -170,28 +169,14 @@ class TraceStep(_Record):
         }
 
 
-class PipelineTrace(_Record):
-    """The ordered audit trail of :func:`run_full_pipeline`."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[TraceStep, ...]):
-        tags = tuple(step.lemma for step in steps)
-        if tags != STAGE_ORDER:
-            raise ValueError(f"trace stages must be {STAGE_ORDER}, got {tags}")
-        super().__init__(steps)
-
-    def step(self, lemma: str) -> TraceStep:
-        for step in self.steps:
-            if step.lemma == lemma:
-                return step
-        raise KeyError(lemma)
-
-    def to_json_list(self) -> list[dict]:
-        return [step.to_json_dict() for step in self.steps]
-
-
 class PipelineResult(_Record):
+    """The outcome of :func:`run_full_pipeline`.
+
+    ``diamond`` is the OG6 diamond, ``betti_numbers`` its Betti vector,
+    ``chern`` its Chern numbers and ``trace`` a tuple of one
+    :class:`TraceStep` per stage, in ``STAGE_ORDER``.
+    """
+
     __slots__ = ("diamond", "betti_numbers", "chern", "trace")
 
 
@@ -379,10 +364,10 @@ def _correct(table: HodgeDiamond, build, constants: NamedConstants,
 def _complete(lower: HodgeDiamond) -> HodgeDiamond:
     """Mirror a p + q <= 6 table to a 6-fold and validate it as a diamond."""
     completed = complete_by_duality(lower, 6)
-    report = check_diamond(completed)
-    if not report.ok:
+    violations = check_diamond(completed)
+    if violations:
         raise ConsistencyError("the completed table is not a valid 6-fold diamond: "
-                               + "; ".join(report.violations))
+                               + "; ".join(violations))
     return completed
 
 
@@ -494,7 +479,7 @@ def _derive(constants: NamedConstants) -> PipelineResult:
     diamond = _complete(table)
     steps.append(TraceStep(STAGE_ORDER[-1], diamond, ()))
     return PipelineResult(diamond, _cross_validate(diamond, constants),
-                          chern_numbers(diamond), PipelineTrace(tuple(steps)))
+                          chern_numbers(diamond), tuple(steps))
 
 
 def _cross_validate(diamond: HodgeDiamond,

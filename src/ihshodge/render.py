@@ -7,7 +7,7 @@ identical, so the command line tool can be diffed in scripts.
 from __future__ import annotations
 
 from .diamond import BettiVector, HodgeDiamond, _wrong_type, weight_sums
-from .pipeline import ChernReport, PipelineTrace
+from .pipeline import ChernReport, TraceStep
 
 __all__ = [
     "betti_text",
@@ -83,12 +83,14 @@ def chern_text(report: ChernReport) -> str:
     )
 
 
-def trace_text(trace: PipelineTrace) -> str:
+def trace_text(trace: tuple[TraceStep, ...]) -> str:
     """One line per stage: tag, weight sums of the output, corrections."""
-    if not isinstance(trace, PipelineTrace):
-        raise _wrong_type(PipelineTrace, trace)
+    if not isinstance(trace, tuple):
+        raise _wrong_type(tuple, trace)
+    if not all(isinstance(step, TraceStep) for step in trace):
+        raise _wrong_type(TraceStep, *trace)
     lines = ["Derivation trace:"]
-    for step in trace.steps:
+    for step in trace:
         sums = weight_sums(step.output)
         row = " ".join(str(sums.get(w, 0)) for w in range(0, max(sums, default=0) + 1, 2))
         if step.corrections:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -85,3 +87,48 @@ def test_package_names_resolve_lazily_and_uncached():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(ihshodge.__all__)
     assert namespace["hilbert_scheme_diamond"] is ihshodge.goettsche.hilbert_scheme_diamond
     assert "hilbert_scheme_diamond" not in vars(ihshodge)
+
+
+def _exported() -> dict:
+    """Every function or class the package defines and a submodule exports.
+
+    cli.main is left out: its answer to bad input is argparse's exit code 2.
+    """
+    found = {}
+    for module in MODULES:
+        mod = importlib.import_module(f"ihshodge.{module}")
+        for obj in map(vars(mod).get, mod.__all__):
+            if ((inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__.startswith("ihshodge.")):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    del found["ihshodge.cli.main"]
+    return found
+
+
+EXPORTED = _exported()
+BAD_VALUES = (None, "x", 5, {}, (1,))
+
+
+def _required_positional(obj) -> int:
+    try:
+        signature = inspect.signature(obj)
+    except ValueError:
+        # an exception class has only the builtin (*args) signature
+        return 0
+    return sum(1 for p in signature.parameters.values()
+               if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+               and p.default is p.empty)
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED))
+def test_exported_callables_return_or_raise_value_error(name):
+    obj = EXPORTED[name]
+    escaped = []
+    for args in itertools.product(BAD_VALUES, repeat=_required_positional(obj)):
+        try:
+            obj(*args)
+        except ValueError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other type breaks the contract
+            escaped.append(f"{name}{args!r}: {type(exc).__name__}: {exc}")
+    assert escaped == []

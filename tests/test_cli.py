@@ -221,7 +221,7 @@ def test_repeated_in_process_calls_match_golden_bytes(capsys):
 
 RENDERERS = {"diamond_text": "HodgeDiamond", "diamond_latex": "HodgeDiamond",
              "betti_text": "BettiVector", "chern_text": "ChernReport",
-             "trace_text": "PipelineTrace"}
+             "trace_text": "tuple"}
 
 
 @pytest.mark.parametrize("name", RENDERERS)

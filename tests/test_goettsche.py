@@ -195,7 +195,7 @@ def test_abelian_fourfold_diamond():
     assert fourfold.h(1, 1) == 16
     assert fourfold.h(2, 1) == 24
     assert euler_characteristic(fourfold) == 0
-    assert check_diamond(fourfold).ok
+    assert check_diamond(fourfold) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_k3_hilb3_table():
     assert d.entries == K3_HILB3
     assert betti(d).b == (1, 0, 23, 0, 299, 0, 2554, 0, 299, 0, 23, 0, 1)
     assert euler_characteristic(d) == 3200
-    assert check_diamond(d).ok
+    assert check_diamond(d) == ()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -233,7 +233,7 @@ def test_abelian_hilbert_schemes(n):
     d = hilbert_scheme_diamond(surface_diamond("abelian"), n)
     assert euler_characteristic(d) == 0
     assert d.h(0, 0) == 1
-    assert check_diamond(d).ok
+    assert check_diamond(d) == ()
 
 
 def test_hilb_cap_enforced():
@@ -305,14 +305,14 @@ def test_k3_hilb_euler_betti_and_salamon(n):
     assert euler_characteristic(d) == inverse_eta_power_coefficient(n, 24)
     assert list(betti(d).b) == goettsche_betti_row([1, 0, 22, 0, 1], n)
     assert salamon_residual(betti(d).lower_half()) == 0
-    assert check_diamond(d).ok
+    assert check_diamond(d) == ()
 
 
 @pytest.mark.parametrize("n", [*range(9), DEFAULT_MAX_N])
 def test_abelian_hilb_betti_numbers(n):
     d = hilbert_scheme_diamond(surface_diamond("abelian"), n, max_n=n)
     assert list(betti(d).b) == goettsche_betti_row([1, 4, 6, 4, 1], n)
-    assert check_diamond(d).ok
+    assert check_diamond(d) == ()
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
@@ -327,7 +327,7 @@ def test_hilb_betti_numbers_on_random_surfaces(n):
         d = hilbert_scheme_diamond(surface, n)
         assert list(betti(d).b) == \
             goettsche_betti_row([1, 2 * q, 2 * pg + h11, 2 * q, 1], n), surface
-        assert check_diamond(d).ok, surface
+        assert check_diamond(d) == (), surface
 
 
 def test_recurrence_matches_product_formula_on_random_surfaces():

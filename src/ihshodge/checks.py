@@ -46,7 +46,7 @@ from .pipeline import (
     run_full_pipeline,
 )
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
+__all__ = ["SUITE_NAMES", "run_suite"]
 
 SUITE_NAMES = ("salamon", "duality", "goettsche", "equivariant")
 
@@ -63,32 +63,31 @@ def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
 # salamon
 
 
-_OG6_HALF = BettiVector(3, (1, 0, 8, 0, 199, 0, 1504))
+_OG6_BETTI = BettiVector(6, (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1))
 
 
 def _suite_salamon() -> list[CheckResult]:
     out = []
     out.append(_check("salamon: OG6 Betti row satisfies the constraint",
-                      salamon_residual(_OG6_HALF) == 0,
-                      f"residual {salamon_residual(_OG6_HALF)}"))
+                      salamon_residual(_OG6_BETTI) == 0,
+                      f"residual {salamon_residual(_OG6_BETTI)}"))
     k3 = surface_diamond("k3")
     for n in (2, 3):
-        half = betti(hilbert_scheme_diamond(k3, n)).lower_half()
-        res = salamon_residual(half)
+        res = salamon_residual(betti(hilbert_scheme_diamond(k3, n)))
         out.append(_check(f"salamon: K3^[{n}] Betti row satisfies the constraint",
                           res == 0, f"residual {res}"))
     hits = []
     for k in range(0, 7, 2):
         for delta in (1, -1):
-            row = list(_OG6_HALF.b)
+            row = list(_OG6_BETTI.b)
             row[k] += delta
-            if salamon_residual(BettiVector(3, tuple(row))) == 0:
+            if salamon_residual(BettiVector(6, tuple(row))) == 0:
                 hits.append((k, delta))
     out.append(_check("salamon: every even single-entry perturbation is detected",
                       not hits, f"undetected perturbations {hits}"))
-    pipeline_half = run_full_pipeline().betti_numbers.lower_half()
+    pipeline_betti = run_full_pipeline().betti_numbers
     out.append(_check("salamon: pipeline output matches the OG6 Betti row",
-                      pipeline_half == _OG6_HALF, f"got {pipeline_half.b}"))
+                      pipeline_betti == _OG6_BETTI, f"got {pipeline_betti.b}"))
     return out
 
 

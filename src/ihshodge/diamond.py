@@ -151,7 +151,7 @@ class HodgeDiamond(_Record):
 
     __slots__ = ("_entries", "_dim")
 
-    def __init__(self, entries: Mapping[Bidegree, int] = (),
+    def __init__(self, entries: Mapping[Bidegree, int],
                  complex_dimension: int | None = None):
         if complex_dimension is not None:
             if not _is_int(complex_dimension) or complex_dimension < 0:
@@ -159,11 +159,7 @@ class HodgeDiamond(_Record):
                     f"complex dimension must be a nonnegative integer, "
                     f"got {complex_dimension!r}")
         if type(entries) is not dict and not isinstance(entries, Mapping):
-            try:
-                entries = dict(entries)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"entries must be a mapping or (p, q), value "
-                                 f"pairs, got {entries!r}") from exc
+            raise ValueError(f"entries must be a mapping, got {entries!r}")
         table = _validated_entries(entries, complex_dimension)
         super().__init__({key: table[key] for key in sorted(table)}, complex_dimension)
 
@@ -267,15 +263,7 @@ class HodgeDiamond(_Record):
 
 
 class BettiVector(_Record):
-    """A row b_0 .. b_{2n} of Betti numbers.
-
-    :func:`betti` produces manifold vectors, where ``n`` is the complex
-    dimension and the row spans all cohomological degrees 0 .. 2n.
-    :func:`salamon_residual` instead consumes constraint vectors, where
-    ``n`` is half the complex dimension of the hyperkaehler manifold and
-    the row stops at the middle degree 2n.  :meth:`lower_half` converts
-    the former into the latter.
-    """
+    """The row b_0 .. b_{2n} of Betti numbers of a complex n-fold."""
 
     __slots__ = ("n", "b")
 
@@ -291,16 +279,6 @@ class BettiVector(_Record):
             if not _is_int(value) or value < 0:
                 raise ValueError(f"b_{k} must be a nonnegative integer")
         super().__init__(n, b)
-
-    def lower_half(self) -> "BettiVector":
-        """Truncate a manifold vector at its middle degree.
-
-        Requires an even ``n``; the result has half the ``n`` and is the
-        shape :func:`salamon_residual` expects.
-        """
-        if self.n % 2:
-            raise ValueError("lower_half needs an even complex dimension")
-        return BettiVector(self.n // 2, self.b[: self.n + 1])
 
 
 def betti(d: HodgeDiamond) -> BettiVector:
@@ -484,22 +462,25 @@ def ext_power(d: HodgeDiamond, k: int) -> HodgeDiamond:
 def salamon_residual(b: BettiVector) -> int:
     """Salamon's constraint on a hyperkaehler 2n-fold, as a residual.
 
-    The input is a constraint vector b_0 .. b_{2n} where ``b.n`` is half
-    the complex dimension (see :class:`BettiVector`).  Returns
+    The input is the Betti row of the 2n-fold; only its lower half
+    b_0 .. b_{2n} enters.  Returns
 
         2 * sum_{j=1}^{2n} (-1)^j (3j^2 - n) b_{2n-j}  -  n * b_{2n}
 
     which vanishes exactly when the constraint holds.  The sum starts at
     j = 1: the j = 0 term would change the relation on every known
-    example, so the top Betti number enters only through the right hand
-    side.
+    example, so the middle Betti number enters only through the right
+    hand side.  An odd complex dimension raises ``ValueError``.
 
-    >>> salamon_residual(BettiVector(2, (1, 0, 23, 0, 276)))
+    >>> salamon_residual(BettiVector(4, (1, 0, 23, 0, 276, 0, 23, 0, 1)))
     0
     """
     if not isinstance(b, BettiVector):
         raise _wrong_type(BettiVector, b)
-    n = b.n
+    if b.n % 2:
+        raise ValueError(f"Salamon's relation needs an even complex dimension, "
+                         f"got {b.n}")
+    n = b.n // 2
     total = sum((-1) ** j * (3 * j * j - n) * b.b[2 * n - j]
                 for j in range(1, 2 * n + 1))
     return 2 * total - n * b.b[2 * n]
@@ -566,8 +547,9 @@ def check_diamond(d: HodgeDiamond) -> tuple[str, ...]:
 def complete_by_duality(d: HodgeDiamond, n: int) -> HodgeDiamond:
     """Extend a table supported in p+q <= n to a full n-fold diamond.
 
-    Entries with p+q < n are mirrored to (n-p, n-q).  An entry already
-    present above the middle must agree with its mirror, otherwise a
+    Entries with p+q < n are mirrored to (n-p, n-q).  An entry with p > n
+    or q > n raises ``ValueError``.  An entry already present above the
+    middle must agree with its mirror, otherwise a
     :class:`ConsistencyError` is raised.
     """
     if not isinstance(d, HodgeDiamond):
@@ -577,6 +559,8 @@ def complete_by_duality(d: HodgeDiamond, n: int) -> HodgeDiamond:
     table: dict[Bidegree, int] = {}
     upper: dict[Bidegree, int] = {}
     for p, q, value in d.items():
+        if p > n or q > n:
+            raise ValueError(f"entry at ({p},{q}) lies outside the diamond of a {n}-fold")
         if p + q <= n:
             table[(p, q)] = value
         else:

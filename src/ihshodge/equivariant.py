@@ -59,13 +59,9 @@ class EquivariantDiamond(_Record):
 
     __slots__ = ("_plus", "_minus")
 
-    def __init__(self, entries: Mapping[Bidegree, EigenPair] = ()):
+    def __init__(self, entries: Mapping[Bidegree, EigenPair]):
         if type(entries) is not dict and not isinstance(entries, Mapping):
-            try:
-                entries = dict(entries)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"entries must be a mapping or ((p, q), (plus, "
-                                 f"minus)) pairs, got {entries!r}") from exc
+            raise ValueError(f"entries must be a mapping, got {entries!r}")
         plus, minus = {}, {}
         for key, pair in entries.items():
             if not isinstance(pair, tuple) or len(pair) != 2:

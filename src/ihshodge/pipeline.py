@@ -66,28 +66,19 @@ from .equivariant import (
 from .goettsche import abelian_fourfold_diamond, surface_diamond
 
 __all__ = [
-    "DEFAULT_CONSTANTS",
     "ChernReport",
     "NamedConstants",
-    "PipelineResult",
-    "STAGE_ORDER",
     "TraceStep",
     "chern_numbers",
-    "delta_bar_diamond",
     "derive_invariant_h2",
     "markman_assembly",
     "markman_equivariant",
     "og6_diamond",
     "og6_via_dual_degrees",
-    "quadric3_diamond",
     "run_full_pipeline",
     "ybar_invariants",
     "yhat_invariants",
 ]
-
-def quadric3_diamond() -> HodgeDiamond:
-    """The smooth quadric threefold: h^{k,k} = 1 for k = 0..3."""
-    return HodgeDiamond({(k, k): 1 for k in range(4)}, complex_dimension=3)
 
 
 class NamedConstants(_Record):
@@ -96,8 +87,9 @@ class NamedConstants(_Record):
     * ``two_torsion_count``: 256 = 2^8, the number of two-torsion points
       on a four-dimensional abelian variety, which is also the number of
       exceptional components in each blow-up step.
-    * ``quadric3``: the diamond of the three-dimensional quadric, the
-      center blown up when comparing with the OG6 manifold itself.
+    * ``quadric3``: the diamond of the smooth quadric threefold,
+      h^{k,k} = 1 for k = 0..3, the center blown up when comparing with
+      the OG6 manifold itself.
     * ``incidence_swap_row``: swap-invariant dimensions of H^0, H^2,
       H^4 of the incidence divisor I in P(V) x P(V*), whose swap action
       is induced by a symplectic form on V.  In degree 2k <= 4 the
@@ -116,7 +108,8 @@ class NamedConstants(_Record):
                  "euler_characteristic")
 
     def __init__(self, two_torsion_count: int = 256,
-                 quadric3: HodgeDiamond = quadric3_diamond(),
+                 quadric3: HodgeDiamond = HodgeDiamond(
+                     {(k, k): 1 for k in range(4)}, complex_dimension=3),
                  incidence_swap_row: tuple[int, int, int] = (1, 1, 2),
                  b2: int = 8, euler_characteristic: int = 1920):
         for name, value in (("two_torsion_count", two_torsion_count), ("b2", b2),
@@ -135,7 +128,7 @@ class NamedConstants(_Record):
         super().__init__(two_torsion_count, quadric3, row, b2, euler_characteristic)
 
 
-DEFAULT_CONSTANTS = NamedConstants()
+_DEFAULTS = NamedConstants()
 
 
 class ChernReport(_Record):
@@ -174,7 +167,7 @@ class PipelineResult(_Record):
 
     ``diamond`` is the OG6 diamond, ``betti_numbers`` its Betti vector,
     ``chern`` its Chern numbers and ``trace`` a tuple of one
-    :class:`TraceStep` per stage, in ``STAGE_ORDER``.
+    :class:`TraceStep` per stage, in chain order.
     """
 
     __slots__ = ("diamond", "betti_numbers", "chern", "trace")
@@ -216,7 +209,7 @@ def _require_table(table: object) -> None:
         raise ValueError(f"table must be a HodgeDiamond, got {table!r}")
 
 
-def delta_bar_diamond(constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDiamond:
+def _delta_bar_diamond(constants: NamedConstants) -> HodgeDiamond:
     """Quotient of the 4-torus A x A^ by -1, resolved at the fixed points.
 
     Even bidegrees keep the torus dimensions of
@@ -224,7 +217,6 @@ def delta_bar_diamond(constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDia
     dies in the quotient; each of the 256 fixed two-torsion points
     contributes the classes of an exceptional P^3 at (1,1), (2,2) and (3,3).
     """
-    _require_constants(constants)
     even = HodgeDiamond._trusted({(p, q): value for p, q, value
                                   in abelian_fourfold_diamond().items()
                                   if (p + q) % 2 == 0})
@@ -331,7 +323,7 @@ def _ybar_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
 
 
 def _yhat_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
-    return _blowup_classes(delta_bar_diamond(constants), 2, 1)
+    return _blowup_classes(_delta_bar_diamond(constants), 2, 1)
 
 
 def _quadric_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
@@ -341,7 +333,6 @@ def _quadric_corrections(constants: NamedConstants) -> dict[Bidegree, int]:
 # (tag, corrections builder or None) for every stage before thm:main, in order
 _CHAIN = (("4fin", None), ("3fin", _ybar_corrections), ("X-and-Y", _yhat_corrections),
           ("Kt-and-Ktt(2)", None), ("Kt-and-Ktt(1)", _quadric_corrections))
-STAGE_ORDER = tuple(tag for tag, _ in _CHAIN) + ("thm:main",)
 
 
 def _correct(table: HodgeDiamond, build, constants: NamedConstants,
@@ -372,7 +363,7 @@ def _complete(lower: HodgeDiamond) -> HodgeDiamond:
 
 
 def ybar_invariants(y_inv: HodgeDiamond,
-                    constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDiamond:
+                    constants: NamedConstants = _DEFAULTS) -> HodgeDiamond:
     """Invariant cohomology after blowing up the 256 incidence loci.
 
     Each of the 256 fixed incidence varieties adds its swap-invariant
@@ -383,12 +374,12 @@ def ybar_invariants(y_inv: HodgeDiamond,
 
 
 def yhat_invariants(ybar_inv: HodgeDiamond,
-                    constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDiamond:
+                    constants: NamedConstants = _DEFAULTS) -> HodgeDiamond:
     """Add the resolved torus quotient, Tate twisted by one.
 
     The singular quotient acquires, after blowing up the image of the
-    fixed 4-torus, the classes h^{p-1,q-1} of the resolved quotient
-    :func:`delta_bar_diamond` in each bidegree (p, q) with p + q <= 6.
+    fixed 4-torus, the classes h^{p-1,q-1} of the resolved torus quotient
+    Delta-bar in each bidegree (p, q) with p + q <= 6.
     The result is also the blow-up of the OG6 manifold along 256 quadric
     threefolds (stage ``Kt-and-Ktt(2)``).
     """
@@ -396,7 +387,7 @@ def yhat_invariants(ybar_inv: HodgeDiamond,
 
 
 def og6_diamond(khat: HodgeDiamond,
-                constants: NamedConstants = DEFAULT_CONSTANTS) -> HodgeDiamond:
+                constants: NamedConstants = _DEFAULTS) -> HodgeDiamond:
     """Remove the 256 quadric contributions and complete by duality.
 
     Inverts the codimension 3 blow-up formula (shifts k = 1, 2) for 256
@@ -449,7 +440,7 @@ def _assemble_invariants(constants: NamedConstants) -> HodgeDiamond:
     return invariant_part(_lower_cohomology(h2))
 
 
-def run_full_pipeline(constants: NamedConstants = DEFAULT_CONSTANTS
+def run_full_pipeline(constants: NamedConstants = _DEFAULTS
                       ) -> PipelineResult:
     """Run the whole derivation and cross-validate the result.
 
@@ -477,7 +468,7 @@ def _derive(constants: NamedConstants) -> PipelineResult:
         table, applied = _correct(table, build, constants, tag) if build else (table, ())
         steps.append(TraceStep(tag, table, applied))
     diamond = _complete(table)
-    steps.append(TraceStep(STAGE_ORDER[-1], diamond, ()))
+    steps.append(TraceStep("thm:main", diamond, ()))
     return PipelineResult(diamond, _cross_validate(diamond, constants),
                           chern_numbers(diamond), tuple(steps))
 
@@ -503,7 +494,7 @@ def _cross_validate(diamond: HodgeDiamond,
             f"cross-validation mismatch: the derived table has Euler "
             f"characteristic {euler_characteristic(diamond)}, expected "
             f"{chi_top}")
-    if salamon_residual(vector.lower_half()) != 0:
+    if salamon_residual(vector) != 0:
         raise ConsistencyError("the derived table violates the Salamon "
                                "constraint")
     return vector
@@ -518,7 +509,7 @@ def _dual_degree_table(constants: NamedConstants) -> HodgeDiamond:
     return _apply_corrections(table, corrections, 6)
 
 
-def og6_via_dual_degrees(constants: NamedConstants = DEFAULT_CONSTANTS
+def og6_via_dual_degrees(constants: NamedConstants = _DEFAULTS
                          ) -> HodgeDiamond:
     """Re-derive the OG6 diamond applying the corrections at dual degrees.
 

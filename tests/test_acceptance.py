@@ -101,19 +101,19 @@ def test_criterion_05_oracle_triangle_on_k3_hilb3():
                             (0, 2): via_series.h(0, 2)})
     via_assembly = markman_assembly(weight2)
     assert via_series == via_assembly
-    assert salamon_residual(betti(via_series).lower_half()) == 0
+    assert salamon_residual(betti(via_series)) == 0
 
 
 def test_criterion_06_salamon_constraint():
-    og6_half = BettiVector(3, (1, 0, 8, 0, 199, 0, 1504))
-    assert salamon_residual(og6_half) == 0
-    assert salamon_residual(BettiVector(2, (1, 0, 23, 0, 276))) == 0
-    assert salamon_residual(BettiVector(3, (1, 0, 23, 0, 299, 0, 2554))) == 0
+    assert salamon_residual(BettiVector(6, OG6_BETTI)) == 0
+    assert salamon_residual(BettiVector(4, (1, 0, 23, 0, 276, 0, 23, 0, 1))) == 0
+    assert salamon_residual(BettiVector(
+        6, (1, 0, 23, 0, 299, 0, 2554, 0, 299, 0, 23, 0, 1))) == 0
     for index in (0, 2, 4, 6):
         for delta in (1, -1):
-            bumped = list(og6_half.b)
+            bumped = list(OG6_BETTI)
             bumped[index] += delta
-            assert salamon_residual(BettiVector(3, tuple(bumped))) != 0, \
+            assert salamon_residual(BettiVector(6, tuple(bumped))) != 0, \
                 (index, delta)
 
 

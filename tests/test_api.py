@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import itertools
@@ -64,6 +65,32 @@ def test_module_exports_resolve(module):
     assert missing == []
 
 
+# Submodule exports that no other module imports, each with its reason.
+UNIMPORTED_EXPORTS = {
+    "goettsche.DEFAULT_MAX_N": "the documented limit on n",
+    "pipeline.ybar_invariants": "wrapped by name in perfbench/tracer.py",
+    "pipeline.yhat_invariants": "wrapped by name in perfbench/tracer.py",
+    "pipeline.og6_diamond": "wrapped by name in perfbench/tracer.py",
+    "pipeline.chern_numbers": "wrapped by name in perfbench/tracer.py",
+}
+
+
+def test_every_submodule_export_is_imported_by_another_module():
+    exported, imported = set(), set()
+    for path in (SRC / "ihshodge").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                    and node.module != path.stem:
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif (path.stem != "__init__" and isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                exported.update(f"{path.stem}.{name}"
+                                for name in ast.literal_eval(node.value))
+    # the package namespace loads these lazily instead of importing them
+    imported.update(f"{module}.{name}" for name, module in ihshodge._SUBMODULE.items())
+    assert sorted(exported - imported) == sorted(UNIMPORTED_EXPORTS)
+
+
 def test_hilbert_scheme_route_loads_only_diamond_and_goettsche():
     # -S: no site hook may preload modules the package itself avoids
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -90,7 +117,8 @@ def test_package_names_resolve_lazily_and_uncached():
 
 
 def _exported() -> dict:
-    """Every function or class the package defines and a submodule exports.
+    """Every function or class the package defines and a submodule exports,
+    plus the result records that exported functions hand back.
 
     cli.main is left out: its answer to bad input is argparse's exit code 2.
     """
@@ -101,6 +129,10 @@ def _exported() -> dict:
             if ((inspect.isfunction(obj) or inspect.isclass(obj))
                     and obj.__module__.startswith("ihshodge.")):
                 found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    # run_suite and run_full_pipeline return these, though no caller imports them
+    for module, name in (("checks", "CheckResult"), ("pipeline", "PipelineResult")):
+        obj = getattr(importlib.import_module(f"ihshodge.{module}"), name)
+        found[f"{obj.__module__}.{obj.__qualname__}"] = obj
     del found["ihshodge.cli.main"]
     return found
 

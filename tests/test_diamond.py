@@ -469,32 +469,35 @@ def test_betti_vector_value_semantics():
     assert v.n == 2 and v.b == (1, 0, 23, 0, 276)
 
 
-def test_lower_half():
-    full = betti(og6())
-    half = full.lower_half()
-    assert half == BettiVector(3, (1, 0, 8, 0, 199, 0, 1504))
-    with pytest.raises(ValueError):
-        BettiVector(3, (1, 0, 8, 0, 199, 0, 1504)).lower_half()
+OG6_BETTI = (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1)
 
 
 def test_salamon_residual_known_manifolds():
-    assert salamon_residual(BettiVector(3, (1, 0, 8, 0, 199, 0, 1504))) == 0
-    assert salamon_residual(BettiVector(2, (1, 0, 23, 0, 276))) == 0
-    assert salamon_residual(BettiVector(3, (1, 0, 23, 0, 299, 0, 2554))) == 0
-    assert salamon_residual(BettiVector(1, (1, 0, 22))) == 0
+    assert salamon_residual(betti(og6())) == 0
+    assert salamon_residual(BettiVector(6, OG6_BETTI)) == 0
+    assert salamon_residual(BettiVector(4, (1, 0, 23, 0, 276, 0, 23, 0, 1))) == 0
+    assert salamon_residual(BettiVector(
+        6, (1, 0, 23, 0, 299, 0, 2554, 0, 299, 0, 23, 0, 1))) == 0
+    assert salamon_residual(BettiVector(2, (1, 0, 22, 0, 1))) == 0
 
 
 def test_salamon_residual_detects_b4_perturbation():
-    assert salamon_residual(BettiVector(3, (1, 0, 8, 0, 200, 0, 1504))) == 18
+    row = list(OG6_BETTI)
+    row[4] += 1
+    assert salamon_residual(BettiVector(6, tuple(row))) == 18
 
 
 def test_salamon_residual_even_perturbations_all_detected():
-    base = (1, 0, 8, 0, 199, 0, 1504)
     for k in range(0, 7, 2):
         for delta in (1, -1):
-            row = list(base)
+            row = list(OG6_BETTI)
             row[k] += delta
-            assert salamon_residual(BettiVector(3, tuple(row))) != 0
+            assert salamon_residual(BettiVector(6, tuple(row))) != 0
+
+
+def test_salamon_residual_rejects_an_odd_complex_dimension():
+    with pytest.raises(ValueError, match="even complex dimension, got 3"):
+        salamon_residual(BettiVector(3, (1, 0, 1, 0, 1, 0, 1)))
 
 
 def test_solve_betti_dim6():
@@ -554,6 +557,15 @@ def test_complete_by_duality_conflict():
 def test_complete_by_duality_rejects_a_negative_dimension():
     with pytest.raises(ValueError, match="nonnegative integer"):
         complete_by_duality(HodgeDiamond({(0, 0): 1}), -1)
+
+
+@pytest.mark.parametrize("entry", [(7, 0), (0, 7), (7, 7)], ids=str)
+def test_complete_by_duality_rejects_entries_outside_the_diamond(entry):
+    # bad input, so a ValueError rather than a duality conflict
+    p, q = entry
+    message = f"entry at ({p},{q}) lies outside the diamond of a 6-fold"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        complete_by_duality(HodgeDiamond({(0, 0): 1, entry: 1}), 6)
 
 
 def test_complete_by_duality_accepts_consistent_upper():

@@ -87,15 +87,12 @@ def test_invalid_entries_rejected(entries):
      "eigenspace dimensions at (2, 2) must be an integer pair, got [1, 2]"),
     # the whole plus eigenspace is validated before the minus one
     ({(1, 1): (1, "x"), (0, 0): (-2, 0)}, "negative dimension -2 at (0,0)"),
+    # a sequence of items is not a table
+    ([((1, 1), (2, 0))], "entries must be a mapping, got [((1, 1), (2, 0))]"),
 ], ids=repr)
 def test_entry_errors_keep_their_messages_and_order(entries, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         EquivariantDiamond(entries)
-
-
-def test_pairs_accept_a_sequence_of_items():
-    d = EquivariantDiamond([((1, 1), (2, 0)), ((0, 0), (0, 1))])
-    assert list(d.items()) == [(0, 0, 0, 1), (1, 1, 2, 0)]
 
 
 def test_immutability():

@@ -21,6 +21,7 @@ CASES = {
     "og6_trace.txt": ["og6", "--trace"],
     "og6_json_trace.json": ["og6", "--format", "json", "--trace"],
     "og6_latex_trace.tex": ["og6", "--format", "latex", "--trace"],
+    "hilb_n3_k3.txt": ["hilb", "--n", "3", "--surface", "k3"],
     "hilb_n5_k3.json": ["hilb", "--n", "5", "--surface", "k3",
                         "--format", "json"],
     "hilb_n5_abelian.json": ["hilb", "--n", "5", "--surface", "abelian",

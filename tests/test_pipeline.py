@@ -21,23 +21,20 @@ from ihshodge.diamond import (
 from ihshodge.equivariant import EquivariantDiamond, eq_sum, forget, invariant_part
 from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
 from ihshodge.pipeline import (
-    DEFAULT_CONSTANTS,
-    STAGE_ORDER,
     ChernReport,
     NamedConstants,
     PipelineResult,
     TraceStep,
     _apply_corrections,
     _blowup_classes,
+    _delta_bar_diamond,
     _dual_degree_table,
     chern_numbers,
-    delta_bar_diamond,
     derive_invariant_h2,
     markman_assembly,
     markman_equivariant,
     og6_diamond,
     og6_via_dual_degrees,
-    quadric3_diamond,
     run_full_pipeline,
     ybar_invariants,
     yhat_invariants,
@@ -55,6 +52,10 @@ OG6_ENTRIES = {
 }
 
 OG6_BETTI = (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1)
+STAGES = ("4fin", "3fin", "X-and-Y", "Kt-and-Ktt(2)", "Kt-and-Ktt(1)", "thm:main")
+QUADRIC3 = HodgeDiamond({(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1},
+                        complex_dimension=3)
+DEFAULTS = NamedConstants()
 
 W4_INVARIANT = {(4, 0): 1, (3, 1): 6, (2, 2): 157, (1, 3): 6, (0, 4): 1}
 W6_INVARIANT = {(6, 0): 1, (5, 1): 5, (4, 2): 157, (3, 3): 852,
@@ -75,37 +76,36 @@ def stage_4fin_invariants(b2: int = 8) -> HodgeDiamond:
 
 
 def test_quadric_threefold():
-    q = quadric3_diamond()
-    assert q.entries == {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1}
-    assert q.complex_dimension == 3
+    q = DEFAULTS.quadric3
+    assert q == QUADRIC3
     assert euler_characteristic(q) == 4
 
 
 def test_incidence_swap_row_matches_orbit_count():
-    assert DEFAULT_CONSTANTS.incidence_swap_row == swap_orbit_counts()
-    assert DEFAULT_CONSTANTS.incidence_swap_row == (1, 1, 2)
+    assert DEFAULTS.incidence_swap_row == swap_orbit_counts()
+    assert DEFAULTS.incidence_swap_row == (1, 1, 2)
 
 
 def test_named_constants_frozen():
-    assert DEFAULT_CONSTANTS.two_torsion_count == 2 ** 8
-    assert DEFAULT_CONSTANTS.quadric3 == quadric3_diamond()
-    assert DEFAULT_CONSTANTS.b2 == 8
-    assert DEFAULT_CONSTANTS.euler_characteristic == 1920
+    assert DEFAULTS.two_torsion_count == 2 ** 8
+    assert DEFAULTS.quadric3 == QUADRIC3
+    assert DEFAULTS.b2 == 8
+    assert DEFAULTS.euler_characteristic == 1920
     with pytest.raises(AttributeError, match="immutable"):
-        DEFAULT_CONSTANTS.two_torsion_count = 0
+        DEFAULTS.two_torsion_count = 0
     with pytest.raises(AttributeError, match="immutable"):
-        del DEFAULT_CONSTANTS.b2
+        del DEFAULTS.b2
 
 
 def test_named_constants_value_semantics():
-    fields = (256, quadric3_diamond(), (1, 1, 2), 8, 1920)
-    assert NamedConstants(*fields) == DEFAULT_CONSTANTS
+    fields = (256, QUADRIC3, (1, 1, 2), 8, 1920)
+    assert NamedConstants(*fields) == DEFAULTS
     assert NamedConstants(euler_characteristic=1920, b2=8, two_torsion_count=256,
                           incidence_swap_row=(1, 1, 2),
-                          quadric3=quadric3_diamond()) == DEFAULT_CONSTANTS
-    assert NamedConstants(b2=9) != DEFAULT_CONSTANTS != fields
-    assert hash(DEFAULT_CONSTANTS) == hash(NamedConstants()) == hash(fields)
-    assert repr(DEFAULT_CONSTANTS) == (
+                          quadric3=QUADRIC3) == DEFAULTS
+    assert NamedConstants(b2=9) != DEFAULTS != fields
+    assert hash(DEFAULTS) == hash(NamedConstants()) == hash(fields)
+    assert repr(DEFAULTS) == (
         "NamedConstants(two_torsion_count=256, quadric3=HodgeDiamond({(0,0): 1, "
         "(1,1): 1, (2,2): 1, (3,3): 1}, complex_dimension=3), "
         "incidence_swap_row=(1, 1, 2), b2=8, euler_characteristic=1920)")
@@ -121,7 +121,7 @@ def test_chern_report_and_trace_step_repr():
 
 
 def test_delta_bar_diamond():
-    d = delta_bar_diamond()
+    d = _delta_bar_diamond(DEFAULTS)
     assert d.complex_dimension == 4
     assert d.h(0, 0) == 1
     assert d.h(1, 1) == 16 + 256
@@ -145,7 +145,7 @@ def test_blowup_of_k3_at_a_point():
 
 
 def test_blowup_along_a_fourfold_center():
-    classes = _blowup_classes(delta_bar_diamond(), 2, 1)
+    classes = _blowup_classes(_delta_bar_diamond(DEFAULTS), 2, 1)
     assert classes[(1, 1)] == 1
     assert classes[(2, 2)] == 272
     assert classes[(3, 1)] == 6
@@ -282,7 +282,7 @@ def test_run_full_pipeline_result():
     assert result.diamond.entries == OG6_ENTRIES
     assert result.betti_numbers == BettiVector(6, OG6_BETTI)
     assert euler_characteristic(result.diamond) == 1920
-    assert salamon_residual(result.betti_numbers.lower_half()) == 0
+    assert salamon_residual(result.betti_numbers) == 0
     assert (result.chern.c2_cubed, result.chern.c2_c4,
             result.chern.c6) == (30720, 7680, 1920)
 
@@ -290,7 +290,7 @@ def test_run_full_pipeline_result():
 def test_trace_stage_order_and_corrections():
     trace = run_full_pipeline().trace
     assert isinstance(trace, tuple)
-    assert tuple(step.lemma for step in trace) == STAGE_ORDER
+    assert tuple(step.lemma for step in trace) == STAGES
     step = {s.lemma: s for s in trace}
     assert step["4fin"].corrections == ()
     assert step["3fin"].corrections == (
@@ -315,7 +315,7 @@ def test_trace_outputs():
 
 def test_trace_json_schema():
     payload = [step.to_json_dict() for step in run_full_pipeline().trace]
-    assert [entry["lemma"] for entry in payload] == list(STAGE_ORDER)
+    assert [entry["lemma"] for entry in payload] == list(STAGES)
     for entry in payload:
         assert set(entry) == {"lemma", "output", "corrections"}
     assert payload[1]["corrections"] == [[1, 1, 256], [2, 2, 256],
@@ -354,7 +354,6 @@ def test_public_stages_and_trace_cannot_drift_apart():
 POINT = HodgeDiamond({(0, 0): 1})
 ROUTES = {"run_full_pipeline": run_full_pipeline,
           "og6_via_dual_degrees": og6_via_dual_degrees,
-          "delta_bar_diamond": delta_bar_diamond,
           "ybar_invariants": functools.partial(ybar_invariants, POINT),
           "yhat_invariants": functools.partial(yhat_invariants, POINT),
           "og6_diamond": functools.partial(og6_diamond, POINT)}
@@ -408,7 +407,7 @@ def test_named_constants_reject_wrong_types(fields):
 
 def test_named_constants_store_the_incidence_row_as_a_tuple():
     constants = NamedConstants(incidence_swap_row=[1, 1, 2])
-    assert constants == DEFAULT_CONSTANTS
+    assert constants == DEFAULTS
     assert constants.incidence_swap_row == (1, 1, 2)
     assert run_full_pipeline(constants) is run_full_pipeline()
 

@@ -48,9 +48,6 @@ from .pipeline import (
 
 __all__ = ["SUITE_NAMES", "run_suite"]
 
-SUITE_NAMES = ("salamon", "duality", "goettsche", "equivariant")
-
-
 class CheckResult(_Record):
     __slots__ = ("name", "ok", "detail")
 
@@ -247,15 +244,13 @@ _SUITES = {
     "goettsche": _suite_goettsche,
     "equivariant": _suite_equivariant,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite, or all of them in a fixed order."""
     if name == "all":
-        results = []
-        for suite in SUITE_NAMES:
-            results.extend(_SUITES[suite]())
-        return results
+        return [result for suite in _SUITES.values() for result in suite()]
     if not isinstance(name, str) or name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return _SUITES[name]()

@@ -54,8 +54,9 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check of a computation failed.
 
     Distinct from ``ValueError`` (bad caller input): this exception means
-    two independent routes to the same quantity disagreed, so a constant
-    or an algorithm is corrupt and no output should be trusted.
+    two independent routes to the same quantity disagreed, or a stage
+    rejected what the named constants gave it, so a constant or an
+    algorithm is corrupt and no output should be trusted.
     """
 
 
@@ -255,6 +256,8 @@ class HodgeDiamond(_Record):
     @classmethod
     def from_json(cls, text: str) -> "HodgeDiamond":
         import json
+        if not isinstance(text, (str, bytes, bytearray)):
+            raise ValueError(f"diamond JSON must be text, got {text!r}")
         return cls.from_json_dict(json.loads(text))
 
 
@@ -548,9 +551,8 @@ def complete_by_duality(d: HodgeDiamond, n: int) -> HodgeDiamond:
     """Extend a table supported in p+q <= n to a full n-fold diamond.
 
     Entries with p+q < n are mirrored to (n-p, n-q).  An entry with p > n
-    or q > n raises ``ValueError``.  An entry already present above the
-    middle must agree with its mirror, otherwise a
-    :class:`ConsistencyError` is raised.
+    or q > n, or one already present above the middle that disagrees
+    with its mirror, raises ``ValueError``.
     """
     if not isinstance(d, HodgeDiamond):
         raise _wrong_type(HodgeDiamond, d)
@@ -570,7 +572,7 @@ def complete_by_duality(d: HodgeDiamond, n: int) -> HodgeDiamond:
             table[(n - p, n - q)] = value
     for (p, q), value in upper.items():
         if table.get((p, q), 0) != value:
-            raise ConsistencyError(
+            raise ValueError(
                 f"duality completion conflict at ({p},{q}): table holds "
                 f"{value}, mirror of ({n - p},{n - q}) gives "
                 f"{table.get((p, q), 0)}")

@@ -25,6 +25,12 @@ middle Betti numbers of the result must also solve the Salamon plus
 Euler characteristic linear system, and the top Chern number must equal
 the topological Euler characteristic.
 
+Every function here raises ``ValueError`` for a bad argument, a table
+its stage cannot take included.  :func:`run_full_pipeline` and
+:func:`og6_via_dual_degrees` build every argument from checked named
+constants, so there a ``ValueError`` means corrupt constants: they
+report it, like a failed cross-validation, as :class:`ConsistencyError`.
+
 The chain is one table of (stage tag, corrections builder).  Only
 bidegrees with p + q <= 6 are tracked through it, and the trace records
 the p + q <= 6 corrections each stage applied; the upper half of the
@@ -297,15 +303,8 @@ def markman_assembly(h2_total: HodgeDiamond) -> HodgeDiamond:
 def _apply_corrections(d: HodgeDiamond, corrections: dict[Bidegree, int],
                        complex_dimension: int | None = None) -> HodgeDiamond:
     table = d.entries
-    for key, delta in sorted(corrections.items()):
-        value = table.get(key, 0) + delta
-        if value < 0:
-            raise ConsistencyError(
-                f"negative entry {value} at {key} after a blow-up correction")
-        if complex_dimension is not None and max(key) > complex_dimension:
-            raise ConsistencyError(f"a blow-up correction lands at {key}, outside "
-                                   f"the diamond of a {complex_dimension}-fold")
-        table[key] = value
+    for key, delta in corrections.items():
+        table[key] = table.get(key, 0) + delta
     return HodgeDiamond(table, complex_dimension=complex_dimension)
 
 
@@ -357,8 +356,8 @@ def _complete(lower: HodgeDiamond) -> HodgeDiamond:
     completed = complete_by_duality(lower, 6)
     violations = check_diamond(completed)
     if violations:
-        raise ConsistencyError("the completed table is not a valid 6-fold diamond: "
-                               + "; ".join(violations))
+        raise ValueError("the completed table is not a valid 6-fold diamond: "
+                         + "; ".join(violations))
     return completed
 
 
@@ -393,7 +392,7 @@ def og6_diamond(khat: HodgeDiamond,
     Inverts the codimension 3 blow-up formula (shifts k = 1, 2) for 256
     disjoint quadric threefold centers, then mirrors the p + q < 6
     entries to the upper half and validates the result as a 6-fold
-    diamond.
+    diamond; a table that fails the validation raises ``ValueError``.
     """
     return _complete(_correct(khat, _quadric_corrections, constants, "og6_diamond")[0])
 
@@ -405,9 +404,9 @@ def og6_diamond(khat: HodgeDiamond,
 def chern_numbers(d: HodgeDiamond) -> ChernReport:
     """Chern numbers of a hyperkaehler 6-fold from its diamond.
 
-    Raises :class:`ConsistencyError` when the c6 linear form disagrees
-    with the Euler characteristic of the table, which happens exactly
-    when the input is not the diamond of a hyperkaehler 6-fold.
+    Raises ``ValueError`` when the c6 linear form disagrees with the
+    Euler characteristic of the table, which happens exactly when the
+    input is not the diamond of a hyperkaehler 6-fold.
     """
     _require_table(d)
     if d.complex_dimension != 6:
@@ -420,7 +419,7 @@ def chern_numbers(d: HodgeDiamond) -> ChernReport:
     c6 = 36 * chi0 - 16 * chi1 + 4 * chi2
     chi_top = euler_characteristic(d)
     if c6 != chi_top:
-        raise ConsistencyError(
+        raise ValueError(
             f"c6={c6} from the chi^p forms, but the Euler characteristic "
             f"is {chi_top}")
     return ChernReport(chi0, chi1, chi2, c2_cubed, c2_c4, c6)
@@ -430,14 +429,18 @@ def chern_numbers(d: HodgeDiamond) -> ChernReport:
 # the full derivation
 
 
-def _assemble_invariants(constants: NamedConstants) -> HodgeDiamond:
+def _derived(step, *args):
+    """Run one derivation step whose arguments come from checked constants.
+
+    A step raises ``ValueError`` for a bad argument; here that means the
+    named constants are corrupt.  This is the one place that turns it
+    into :class:`ConsistencyError`.
+    """
     try:
-        h2 = derive_invariant_h2(constants.b2)
+        return step(*args)
     except ValueError as exc:
-        raise ConsistencyError(
-            f"cross-validation mismatch: the named b2={constants.b2!r} admits "
-            f"no eigenspace split of H^2: {exc}") from exc
-    return invariant_part(_lower_cohomology(h2))
+        raise ConsistencyError(f"cross-validation mismatch: the named constants "
+                               f"admit no derivation: {exc}") from exc
 
 
 def run_full_pipeline(constants: NamedConstants = _DEFAULTS
@@ -447,9 +450,9 @@ def run_full_pipeline(constants: NamedConstants = _DEFAULTS
     Returns the OG6 diamond, its Betti numbers, its Chern numbers and an
     audit trace of the six stages.  The middle Betti numbers of the
     derived table must independently solve the Salamon and Euler linear
-    system for the named b2 and Euler characteristic; a mismatch, or a
-    system without solution, for example after perturbing one of the
-    named constants, raises :class:`ConsistencyError`.
+    system for the named b2 and Euler characteristic.  A mismatch, or a
+    stage that rejects what the named constants give it, for example
+    after perturbing one of them, raises :class:`ConsistencyError`.
 
     The result is immutable and shared: equal constants get the same
     :class:`PipelineResult` object while they are among the 16 most
@@ -457,12 +460,12 @@ def run_full_pipeline(constants: NamedConstants = _DEFAULTS
     raise on every call.
     """
     _require_constants(constants)
-    return _derive(constants)
+    return _derived(_derive, constants)
 
 
 @functools.lru_cache(maxsize=16)
 def _derive(constants: NamedConstants) -> PipelineResult:
-    table = _assemble_invariants(constants)
+    table = invariant_part(_lower_cohomology(derive_invariant_h2(constants.b2)))
     steps = []
     for tag, build in _CHAIN:
         table, applied = _correct(table, build, constants, tag) if build else (table, ())
@@ -477,12 +480,7 @@ def _cross_validate(diamond: HodgeDiamond,
                     constants: NamedConstants) -> BettiVector:
     """Betti numbers of a derived 6-fold, checked against b2 and chi."""
     b2, chi_top = constants.b2, constants.euler_characteristic
-    try:
-        b4, b6 = solve_betti_dim6(1, b2, chi_top)
-    except ValueError as exc:
-        raise ConsistencyError(
-            f"cross-validation mismatch: the named constants admit no "
-            f"Betti numbers: {exc}") from exc
+    b4, b6 = solve_betti_dim6(1, b2, chi_top)
     vector = betti(diamond)
     if (vector.b[2], vector.b[4], vector.b[6]) != (b2, b4, b6):
         raise ConsistencyError(
@@ -505,7 +503,8 @@ def _dual_degree_table(constants: NamedConstants) -> HodgeDiamond:
     corrections = Counter()
     for _, build in _CHAIN:
         corrections.update(build(constants) if build else {})
-    table = complete_by_duality(_assemble_invariants(constants), 6)
+    table = complete_by_duality(
+        invariant_part(_lower_cohomology(derive_invariant_h2(constants.b2))), 6)
     return _apply_corrections(table, corrections, 6)
 
 
@@ -521,6 +520,6 @@ def og6_via_dual_degrees(constants: NamedConstants = _DEFAULTS
     :func:`run_full_pipeline`.
     """
     _require_constants(constants)
-    diamond = _dual_degree_table(constants)
-    _cross_validate(diamond, constants)
+    diamond = _derived(_dual_degree_table, constants)
+    _derived(_cross_validate, diamond, constants)
     return diamond

@@ -93,8 +93,10 @@ def test_og6_rejects_bad_b2():
     assert "error:" in proc.stderr
 
 
-def test_og6_corrupted_constant_exits_1(monkeypatch, capsys):
-    corrupted = NamedConstants(two_torsion_count=255)
+@pytest.mark.parametrize("fields", [
+    {"two_torsion_count": 255}, {"incidence_swap_row": (1, -1, 2)}], ids=str)
+def test_og6_corrupted_constant_exits_1(monkeypatch, capsys, fields):
+    corrupted = NamedConstants(**fields)
     monkeypatch.setattr(cli, "run_full_pipeline",
                         lambda: run_full_pipeline(corrupted))
     assert cli.main(["og6"]) == 1

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from _oracles import ext_power_oracle, sym_power_oracle
 from ihshodge.diamond import (
     BettiVector,
-    ConsistencyError,
     HodgeDiamond,
     betti,
     check_diamond,
@@ -176,6 +175,9 @@ def test_json_parser_rejects_malformed():
                  '{"complex_dimension": 2, "entries": [[0, 0]]}'):
         with pytest.raises(ValueError):
             HodgeDiamond.from_json(text)
+    for value in (5, None):
+        with pytest.raises(ValueError, match="must be text"):
+            HodgeDiamond.from_json(value)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +552,7 @@ def test_complete_by_duality():
 
 def test_complete_by_duality_conflict():
     lower = HodgeDiamond({(0, 0): 1, (2, 2): 5})
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ValueError, match="duality completion conflict"):
         complete_by_duality(lower, 2)
 
 

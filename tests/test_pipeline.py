@@ -231,7 +231,7 @@ def test_stage_chain_entry_by_entry():
 
 
 def test_og6_diamond_rejects_undersized_tables():
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ValueError):
         og6_diamond(HodgeDiamond({(0, 0): 1}))
 
 
@@ -268,7 +268,7 @@ def test_chern_numbers_validation():
         chern_numbers(surface_diamond("k3"))
     cooked = dict(OG6_ENTRIES)
     cooked[(1, 1)] += 1
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ValueError, match="c6="):
         chern_numbers(HodgeDiamond(cooked, complex_dimension=6))
 
 
@@ -419,8 +419,20 @@ def test_correction_outside_the_dimension_is_a_consistency_error():
     for route in (run_full_pipeline, og6_via_dual_degrees):
         with pytest.raises(ConsistencyError):
             route(bad)
-    with pytest.raises(ConsistencyError, match="outside"):
+    with pytest.raises(ValueError, match="outside"):
         _apply_corrections(HodgeDiamond({}, complex_dimension=2), {(3, 0): 1}, 2)
+
+
+@pytest.mark.parametrize("fields", [
+    {"incidence_swap_row": (1, -1, 2)}, {"incidence_swap_row": (-1, 1, 2)},
+    {"two_torsion_count": -256}, {"b2": 2}, {"b2": 25},
+    {"euler_characteristic": -8}], ids=str)
+@pytest.mark.parametrize("route", [run_full_pipeline, og6_via_dual_degrees],
+                         ids=lambda route: route.__name__)
+def test_corrupted_constants_are_consistency_errors(route, fields):
+    # a stage that rejects what the constants give it blames the constants
+    with pytest.raises(ConsistencyError, match="cross-validation"):
+        route(NamedConstants(**fields))
 
 
 def test_corrupted_torsion_count_detected():

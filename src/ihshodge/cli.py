@@ -11,7 +11,8 @@ Three subcommands:
 * ``check``: run a named invariant suite and report each check.
 
 Exit codes: 0 on success, 1 when an internal invariant is violated
-(including failing checks), 2 on bad input.  Output on stdout is UTF-8
+(including failing checks), 2 on bad input, 141 when the reader of
+stdout has closed it (the status of a SIGPIPE).  Output on stdout is UTF-8
 and byte deterministic for a fixed command line; diagnostics go to
 stderr.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .checks import SUITE_NAMES, run_suite
@@ -96,7 +98,7 @@ def _cmd_og6(args: argparse.Namespace) -> int:
 def _cmd_hilb(args: argparse.Namespace) -> int:
     diamond = hilbert_scheme_diamond(surface_diamond(args.surface), args.n)
     if args.format == "json":
-        print(diamond.to_json())
+        print(json.dumps(diamond.to_json_dict(), sort_keys=True))
         return 0
     if args.format == "latex":
         print(diamond_latex(diamond))
@@ -125,11 +127,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "og6":
-            return _cmd_og6(args)
-        if args.command == "hilb":
-            return _cmd_hilb(args)
-        return _cmd_check(args)
+        run = {"og6": _cmd_og6, "hilb": _cmd_hilb, "check": _cmd_check}[args.command]
+        status = run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone: the flush at interpreter exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConsistencyError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -228,38 +228,6 @@ class HodgeDiamond(_Record):
             "entries": [[p, q, v] for p, q, v in self.items()],
         }
 
-    def to_json(self) -> str:
-        import json
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HodgeDiamond":
-        if not isinstance(data, Mapping):
-            raise ValueError("diamond JSON must be an object")
-        for key in ("complex_dimension", "entries"):
-            if key not in data:
-                raise ValueError(f"diamond JSON lacks the {key!r} key")
-        raw = data["entries"]
-        if not isinstance(raw, list):
-            raise ValueError("diamond JSON entries must be a list")
-        table: dict[Bidegree, int] = {}
-        for item in raw:
-            if (not isinstance(item, list) or len(item) != 3
-                    or not (_is_int(item[0]) and _is_int(item[1]))):
-                raise ValueError(f"malformed diamond entry {item!r}")
-            p, q, v = item
-            if (p, q) in table:
-                raise ValueError(f"duplicate diamond entry at ({p},{q})")
-            table[(p, q)] = v
-        return cls(table, complex_dimension=data["complex_dimension"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "HodgeDiamond":
-        import json
-        if not isinstance(text, (str, bytes, bytearray)):
-            raise ValueError(f"diamond JSON must be text, got {text!r}")
-        return cls.from_json_dict(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
 # numerical invariants
@@ -397,10 +365,6 @@ def _sym_dim(m: int, j: int) -> int:
     return math.comb(m + j - 1, j)
 
 
-def _ext_dim(m: int, j: int) -> int:
-    return math.comb(m, j)
-
-
 def _graded_powers(d: HodgeDiamond, k: int, block,
                    op: str) -> list[dict[Bidegree, int]]:
     """The raw tables of the j-th power of ``d`` for every j = 0 .. k.
@@ -455,7 +419,7 @@ def ext_power(d: HodgeDiamond, k: int) -> HodgeDiamond:
     """k-th exterior power of a table supported in even total degree."""
     if not isinstance(d, HodgeDiamond):
         raise _wrong_type(HodgeDiamond, d)
-    return HodgeDiamond._trusted(_graded_powers(d, k, _ext_dim, "ext_power")[k])
+    return HodgeDiamond._trusted(_graded_powers(d, k, math.comb, "ext_power")[k])
 
 
 # ---------------------------------------------------------------------------

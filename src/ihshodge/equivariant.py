@@ -20,6 +20,7 @@ exploits as a cross-check against the plain table algebra.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
 
 from .diamond import (
@@ -27,7 +28,6 @@ from .diamond import (
     HodgeDiamond,
     _Record,
     _convolve,
-    _ext_dim,
     _graded_powers,
     _sym_dim,
     _validated_entries,
@@ -181,4 +181,4 @@ def eq_sym_power(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
 
 def eq_ext_power(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
     """k-th exterior power with the eigenspace bookkeeping."""
-    return _eq_power(d, k, _ext_dim, "eq_ext_power")
+    return _eq_power(d, k, math.comb, "eq_ext_power")

@@ -47,7 +47,6 @@ from .diamond import ConsistencyError, HodgeDiamond, _Record, _is_int, _wrong_ty
 __all__ = [
     "DEFAULT_MAX_N",
     "TruncatedSeries3",
-    "abelian_fourfold_diamond",
     "factor_power",
     "hilbert_scheme_diamond",
     "series_mul",
@@ -188,7 +187,7 @@ def factor_power(base_exponents: Exponents, sign: int, exponent: int,
 
 
 # ---------------------------------------------------------------------------
-# input surfaces and reference fourfold
+# input surfaces
 
 
 _SURFACES: dict[str, dict[tuple[int, int], int]] = {
@@ -199,25 +198,16 @@ _SURFACES: dict[str, dict[tuple[int, int], int]] = {
 
 
 def surface_diamond(kind: str) -> HodgeDiamond:
-    """Reference diamonds: ``k3``, ``abelian``, or a ``point``.
+    """Reference surface diamonds: ``k3`` or ``abelian``.
 
     >>> surface_diamond("k3").h(1, 1)
     20
     >>> surface_diamond("abelian").h(1, 0)
     2
     """
-    if kind == "point":
-        return HodgeDiamond({(0, 0): 1}, complex_dimension=0)
     if not isinstance(kind, str) or kind not in _SURFACES:
         raise ValueError(f"unknown surface kind {kind!r}")
     return HodgeDiamond(_SURFACES[kind], complex_dimension=2)
-
-
-def abelian_fourfold_diamond() -> HodgeDiamond:
-    """The 4-torus A x A^ with h^{p,q} = C(4,p) C(4,q)."""
-    table = {(p, q): math.comb(4, p) * math.comb(4, q)
-             for p in range(5) for q in range(5)}
-    return HodgeDiamond(table, complex_dimension=4)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ that this completion is consistent.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 
 from .diamond import (
@@ -69,7 +70,6 @@ from .equivariant import (
     forget,
     invariant_part,
 )
-from .goettsche import abelian_fourfold_diamond, surface_diamond
 
 __all__ = [
     "ChernReport",
@@ -124,10 +124,8 @@ class NamedConstants(_Record):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(quadric3, HodgeDiamond):
             raise ValueError(f"quadric3 must be a HodgeDiamond, got {quadric3!r}")
-        try:
-            row = tuple(incidence_swap_row)
-        except TypeError:
-            row = ()
+        row = (tuple(incidence_swap_row)
+               if isinstance(incidence_swap_row, (tuple, list)) else ())
         if len(row) != 3 or not all(_is_int(v) for v in row):
             raise ValueError(f"incidence_swap_row must be three integers, "
                              f"got {incidence_swap_row!r}")
@@ -218,15 +216,15 @@ def _require_table(table: object) -> None:
 def _delta_bar_diamond(constants: NamedConstants) -> HodgeDiamond:
     """Quotient of the 4-torus A x A^ by -1, resolved at the fixed points.
 
-    Even bidegrees keep the torus dimensions of
-    :func:`~ihshodge.goettsche.abelian_fourfold_diamond`; the odd part
-    dies in the quotient; each of the 256 fixed two-torsion points
+    Even bidegrees keep the torus dimensions h^{p,q} = C(4,p) C(4,q); the
+    odd part dies in the quotient; each of the 256 fixed two-torsion points
     contributes the classes of an exceptional P^3 at (1,1), (2,2) and (3,3).
     """
-    even = HodgeDiamond._trusted({(p, q): value for p, q, value
-                                  in abelian_fourfold_diamond().items()
+    even = HodgeDiamond._trusted({(p, q): math.comb(4, p) * math.comb(4, q)
+                                  for p in range(5) for q in range(5)
                                   if (p + q) % 2 == 0})
-    classes = _blowup_classes(surface_diamond("point"), 4, constants.two_torsion_count)
+    point = HodgeDiamond({(0, 0): 1}, complex_dimension=0)
+    classes = _blowup_classes(point, 4, constants.two_torsion_count)
     return _apply_corrections(even, classes, 4)
 
 

@@ -35,6 +35,16 @@ from ihshodge import run_full_pipeline
 print(run_full_pipeline().diamond.h(3, 3))
 """
 
+# Runs in a fresh interpreter; prints what the OG6 route loads that it
+# does not need: Goettsche's formula, the suites, the front end and json.
+OG6_ROUTE = """
+import sys
+from ihshodge import run_full_pipeline
+run_full_pipeline()
+unused = ["ihshodge." + m for m in ("goettsche", "checks", "cli", "render")]
+print(sorted(m for m in unused + ["json"] if m in sys.modules))
+"""
+
 # Runs in a fresh interpreter; prints the record machinery the CLI loads.
 CLI_IMPORT = """
 import sys
@@ -97,6 +107,13 @@ def test_hilbert_scheme_route_loads_only_diamond_and_goettsche():
     out = subprocess.run([sys.executable, "-S", "-c", HILBERT_ROUTE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["[]", "1144"]
+
+
+def test_og6_route_loads_no_goettsche_checks_cli_render_or_json():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-S", "-c", OG6_ROUTE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]"]
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():

@@ -24,6 +24,12 @@ def run_cli(*argv: str):
                           capture_output=True, text=True)
 
 
+def rebuilt(payload: dict) -> HodgeDiamond:
+    """The diamond whose ``to_json_dict`` is ``payload``, through the constructor."""
+    return HodgeDiamond({(p, q): v for p, q, v in payload["entries"]},
+                        complex_dimension=payload["complex_dimension"])
+
+
 # ---------------------------------------------------------------------------
 # og6
 
@@ -38,8 +44,9 @@ def test_og6_json_payload():
         "n": 6, "b": [1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1]}
     assert payload["chern"]["c2_cubed"] == 30720
     assert payload["chern"]["c6"] == 1920
-    parsed = HodgeDiamond.from_json_dict(payload["diamond"])
-    assert parsed == run_full_pipeline().diamond
+    diamond = run_full_pipeline().diamond
+    assert payload["diamond"] == diamond.to_json_dict()
+    assert rebuilt(payload["diamond"]) == diamond
 
 
 def test_og6_json_trace():
@@ -105,6 +112,16 @@ def test_og6_corrupted_constant_exits_1(monkeypatch, capsys, fields):
     assert captured.out == ""
 
 
+def test_closed_stdout_exits_141_quietly():
+    proc = subprocess.Popen([sys.executable, "-m", "ihshodge", "og6"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
 def test_og6_output_is_byte_deterministic():
     first = run_cli("og6", "--format", "json", "--trace")
     second = run_cli("og6", "--format", "json", "--trace")
@@ -119,8 +136,10 @@ def test_og6_output_is_byte_deterministic():
 def test_hilb_json_round_trip():
     proc = run_cli("hilb", "--n", "2", "--format", "json")
     assert proc.returncode == 0, proc.stderr
-    parsed = HodgeDiamond.from_json(proc.stdout)
-    assert parsed == hilbert_scheme_diamond(surface_diamond("k3"), 2)
+    diamond = hilbert_scheme_diamond(surface_diamond("k3"), 2)
+    payload = json.loads(proc.stdout)
+    assert payload == diamond.to_json_dict()
+    assert rebuilt(payload) == diamond
 
 
 def test_hilb_text_output():
@@ -142,8 +161,10 @@ def test_hilb_abelian_surface():
     proc = run_cli("hilb", "--n", "2", "--surface", "abelian",
                    "--format", "json")
     assert proc.returncode == 0, proc.stderr
-    parsed = HodgeDiamond.from_json(proc.stdout)
-    assert parsed == hilbert_scheme_diamond(surface_diamond("abelian"), 2)
+    diamond = hilbert_scheme_diamond(surface_diamond("abelian"), 2)
+    payload = json.loads(proc.stdout)
+    assert payload == diamond.to_json_dict()
+    assert rebuilt(payload) == diamond
 
 
 def test_hilb_cap():

@@ -399,9 +399,12 @@ def test_perturbed_constants_raise_on_every_call(perturbed):
     {"b2": 8.0}, {"b2": True}, {"two_torsion_count": 256.0},
     {"euler_characteristic": 1920.0}, {"incidence_swap_row": (1, 1, 2, 3)},
     {"incidence_swap_row": (1, 1, 2.0)}, {"incidence_swap_row": 5},
-    {"incidence_swap_row": None}, {"quadric3": {(0, 0): 1}}], ids=str)
+    {"incidence_swap_row": None}, {"incidence_swap_row": {1: "x", 2: None, 0: 0}},
+    {"incidence_swap_row": {1, 2, 0}}, {"incidence_swap_row": {1: 1, 2: 1, 0: 2}.keys()},
+    {"quadric3": {(0, 0): 1}}], ids=str)
 def test_named_constants_reject_wrong_types(fields):
-    with pytest.raises(ValueError):
+    (name,) = fields
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         NamedConstants(**fields)
 
 

@@ -8,7 +8,9 @@ Three subcommands:
   or abelian surface.  n is limited to 30, the one limit
   :data:`~ihshodge.goettsche.DEFAULT_MAX_N`, which keeps every request
   within a couple of seconds; a larger n exits 2.
-* ``check``: run a named invariant suite and report each check.
+* ``check``: run a named invariant suite and report each check, as
+  ``ok   <name>`` or ``FAIL <name>: got <computed!r>, expected
+  <expected!r>``, then ``k/m checks passed``.
 
 Exit codes: 0 on success, 1 when an internal invariant is violated
 (including failing checks), 2 on bad input, 141 when the reader of

@@ -253,7 +253,8 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
 
     Computed by the recurrence N F_N = sum_j T_j H_{N,j} of the module
     docstring, on slices keyed by a + (2n+1) b.  n may not exceed
-    ``max_n``, by default the limit :data:`DEFAULT_MAX_N` = 30.  An
+    ``max_n``, by default the limit :data:`DEFAULT_MAX_N` = 30; ``max_n``
+    can lower that limit but not raise it.  An
     inexact division by N, or a negative coefficient in the t^n slice,
     cannot occur for an actual surface diamond and raises
     :class:`ConsistencyError`.
@@ -267,8 +268,9 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
         raise ValueError("the input diamond must have complex dimension 2")
     if not _is_int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
-    if not _is_int(max_n) or max_n < 0:
-        raise ValueError(f"max_n must be a nonnegative integer, got {max_n!r}")
+    if not _is_int(max_n) or not 0 <= max_n <= DEFAULT_MAX_N:
+        raise ValueError(f"max_n must be a nonnegative integer at most "
+                         f"{DEFAULT_MAX_N}, got {max_n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > max_n:

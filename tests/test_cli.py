@@ -208,6 +208,41 @@ def test_check_unknown_suite_is_a_usage_error():
             checks.run_suite(name)
 
 
+def test_a_failing_check_prints_what_it_got_and_expected(monkeypatch, capsys):
+    chi = checks.euler_characteristic
+    monkeypatch.setattr(checks, "euler_characteristic", lambda d: chi(d) + 1)
+    assert cli.main(["check", "--suite", "goettsche"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert ("FAIL goettsche: K3^[3] Euler characteristic: got 3201, expected 3200"
+            in lines)
+    passed, total = lines[-1].removesuffix(" checks passed").split("/")
+    assert total == "8" and int(passed) < 8
+
+
+def test_check_all_derives_each_markman_table_once(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        operation = getattr(checks, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return operation(*args)
+        return wrapper
+
+    for name in ("markman_assembly", "markman_equivariant"):
+        monkeypatch.setattr(checks, name, counted(name))
+    checks.run_suite("all")
+    assert calls == {"markman_assembly": 1, "markman_equivariant": 2}
+
+
+def test_all_runs_every_suite_in_order():
+    one_by_one = [result for name in checks.SUITE_NAMES
+                  for result in checks.run_suite(name)]
+    assert checks.run_suite("all") == one_by_one
+    assert all(result.ok for result in one_by_one)
+
+
 def test_missing_subcommand_is_a_usage_error():
     proc = run_cli()
     assert proc.returncode == 2

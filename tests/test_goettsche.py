@@ -240,7 +240,7 @@ def test_hilb_rejects_non_integer_n(n):
         hilbert_scheme_diamond(surface_diamond("k3"), n)
 
 
-@pytest.mark.parametrize("max_n", [2.5, -1])
+@pytest.mark.parametrize("max_n", [2.5, -1, 31])
 def test_hilb_rejects_bad_max_n(max_n):
     with pytest.raises(ValueError, match="max_n must be a nonnegative integer"):
         hilbert_scheme_diamond(surface_diamond("k3"), 2, max_n=max_n)

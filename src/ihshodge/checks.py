@@ -61,6 +61,15 @@ def _check(name: str, computed: object, expected: object) -> CheckResult:
     return CheckResult(name, False, f"got {computed!r}, expected {expected!r}")
 
 
+class _HilbertSchemes(dict):
+    """K3^[n] and abelian^[n] by (kind, n), each built once per suite run."""
+
+    def __missing__(self, key: tuple[str, int]) -> HodgeDiamond:
+        kind, n = key
+        self[key] = diamond = hilbert_scheme_diamond(surface_diamond(kind), n)
+        return diamond
+
+
 # ---------------------------------------------------------------------------
 # salamon
 
@@ -68,8 +77,7 @@ def _check(name: str, computed: object, expected: object) -> CheckResult:
 _OG6_BETTI = BettiVector(6, (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1))
 
 
-def _suite_salamon() -> list[CheckResult]:
-    k3 = surface_diamond("k3")
+def _suite_salamon(hilb: _HilbertSchemes) -> list[CheckResult]:
     undetected = [
         (k, delta) for k in range(0, 7, 2) for delta in (1, -1)
         if salamon_residual(BettiVector(6, tuple(
@@ -78,7 +86,7 @@ def _suite_salamon() -> list[CheckResult]:
         _check("salamon: OG6 Betti row satisfies the constraint",
                salamon_residual(_OG6_BETTI), 0),
         *(_check(f"salamon: K3^[{n}] Betti row satisfies the constraint",
-                 salamon_residual(betti(hilbert_scheme_diamond(k3, n))), 0)
+                 salamon_residual(betti(hilb["k3", n])), 0)
           for n in (2, 3)),
         _check("salamon: every even single-entry perturbation is detected",
                undetected, []),
@@ -91,7 +99,7 @@ def _suite_salamon() -> list[CheckResult]:
 # duality
 
 
-def _suite_duality() -> list[CheckResult]:
+def _suite_duality(hilb: _HilbertSchemes) -> list[CheckResult]:
     result = run_full_pipeline()
     khat = next(step.output for step in result.trace if step.lemma == "Kt-and-Ktt(2)")
     return [
@@ -123,32 +131,29 @@ def _product_formula_slices(surface: HodgeDiamond,
     return [series.t_slice(m) for m in range(n + 1)]
 
 
-def _suite_goettsche() -> list[CheckResult]:
-    k3 = surface_diamond("k3")
-    abelian = surface_diamond("abelian")
-    three = hilbert_scheme_diamond(k3, 3)
+def _suite_goettsche(hilb: _HilbertSchemes) -> list[CheckResult]:
+    three = hilb["k3", 3]
     h2 = HodgeDiamond({(p, q): v for p, q, v in three.items() if p + q == 2})
     return [
         _check("goettsche: recurrence matches the product formula",
-               [(kind, m) for kind, surface, n in (("k3", k3, 3), ("abelian", abelian, 2))
-                for m, entries in enumerate(_product_formula_slices(surface, n))
-                if hilbert_scheme_diamond(surface, m).entries != entries], []),
+               [(kind, m) for kind, n in (("k3", 3), ("abelian", 2))
+                for m, entries in enumerate(
+                    _product_formula_slices(surface_diamond(kind), n))
+                if hilb[kind, m].entries != entries], []),
         _check("goettsche: zero points give a point",
-               hilbert_scheme_diamond(k3, 0),
-               HodgeDiamond({(0, 0): 1}, complex_dimension=0)),
+               hilb["k3", 0], HodgeDiamond({(0, 0): 1}, complex_dimension=0)),
         *(_check(f"goettsche: one point on {kind} gives the surface",
-                 hilbert_scheme_diamond(surface, 1), surface)
-          for kind, surface in (("k3", k3), ("abelian", abelian))),
+                 hilb[kind, 1], surface_diamond(kind))
+          for kind in ("k3", "abelian")),
         _check("goettsche: K3^[2] Betti numbers",
-               betti(hilbert_scheme_diamond(k3, 2)).b,
-               (1, 0, 23, 0, 276, 0, 23, 0, 1)),
+               betti(hilb["k3", 2]).b, (1, 0, 23, 0, 276, 0, 23, 0, 1)),
         _check("goettsche: K3^[3] equals its own Markman assembly",
                markman_assembly(h2), three),
         _check("goettsche: K3^[3] Euler characteristic",
                euler_characteristic(three), 3200),
         _check("goettsche: abelian Hilbert schemes have Euler number 0",
-               [euler_characteristic(hilbert_scheme_diamond(abelian, n))
-                for n in (1, 2, 3)], [0, 0, 0]),
+               [euler_characteristic(hilb["abelian", n]) for n in (1, 2, 3)],
+               [0, 0, 0]),
     ]
 
 
@@ -168,7 +173,7 @@ def _random_equivariant(rng: random.Random) -> EquivariantDiamond:
     return EquivariantDiamond(table)
 
 
-def _suite_equivariant() -> list[CheckResult]:
+def _suite_equivariant(hilb: _HilbertSchemes) -> list[CheckResult]:
     rng = random.Random(64001)
     failures = []
     for i in range(200):
@@ -215,9 +220,22 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Run one named suite, or all of them in a fixed order."""
+    """Run one named suite, or all of them in a fixed order.
+
+    The suites of one call share each Hilbert-scheme diamond they need.
+    No suite after the goettsche suite needs one, so the diamonds are
+    dropped there rather than held through the equivariant suite.
+    """
     if name == "all":
-        return [result for suite in _SUITES.values() for result in suite()]
-    if not isinstance(name, str) or name not in _SUITES:
+        suites = list(_SUITES.values())
+    elif isinstance(name, str) and name in _SUITES:
+        suites = [_SUITES[name]]
+    else:
         raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name]()
+    hilb = _HilbertSchemes()
+    results = []
+    for suite in suites:
+        results += suite(hilb)
+        if suite is _suite_goettsche:
+            hilb.clear()
+    return results

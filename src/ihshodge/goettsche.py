@@ -22,13 +22,39 @@ the recurrence
     H_{N,j} = sum_{k=1..N/j} k (x y)^{j(k-1)} F_{N-jk},
 
 from F_0 = 1; H_{N,j} is F_{N-j} once 2j > N.  Only the two-variable
-slices F_0..F_n are built: each H_{N,j} is a sum of shifted slices and
-T_j has at most |S| terms.  Every monomial of F_N and of T_j H_{N,j} has
-x- and y-degree at most 2N, so x^a y^b packs into the key a + (2n+1) b:
-adding keys adds exponents without carries.  N F_N is summed in a list
-indexed by the key, which is at most 2N(2n+2).  H_{N,j} and the slices
-stay sparse dicts keyed by it: most of their cells are zero, and the
-T_j H_{N,j} products should visit only nonzero pairs.
+slices F_0..F_n are built.  Every monomial of F_N and of T_j H_{N,j} has
+x- and y-degree at most 2N, so x^a y^b packs into z^key with key
+a + (2n+1) b: adding keys adds exponents without carries.
+
+Each slice is one Python integer, its polynomial in z evaluated at
+z = 2^w (Kronecker substitution).  Multiplying by x^a y^b is a left
+shift by w key, so H_{N,j} and N F_N are sums of shifted small multiples
+of earlier slices, and CPython's big-integer code does all of the work.
+Evaluation at 2^w is a ring homomorphism, so every packed integer is
+exact whatever its digits; only N F_N and F_n are ever read as digits.
+
+The width w comes from a majorant.  Let s = sum |h^{p,q}| and
+G_m = [t^m] prod_k (1 - t^k)^(-s).  With every coefficient of every T_j
+replaced by its size, the recurrence solves to the product with factors
+(1 - x^{p+k-1} y^{q+k-1} t^k)^(-|h^{p,q}|): its coefficients are
+nonnegative, bound those of F in size by induction on N, and at
+x = y = 1 sum to G_m.  G_m does not decrease with m (for s > 0 the
+product has the factor 1/(1 - t)), so each coefficient of F_m, m <= n,
+is below G_n < 2^b in size, b the bit length of G_n, and each of N F_N
+below n 2^b.  So w = 8 ceil((b + bitlength(n) + 2) / 8) bits hold every
+digit read, with room for a sign; whole bytes let F_n unpack through
+``to_bytes``.
+
+N F_N must divide by N coefficient by coefficient, and one test on the
+whole integer decides that exactly.  Let F = (N F_N) // N, and V be F
+plus 2^b in every digit.  The test passes when the remainder is 0,
+0 <= V < 2^(w cells) and no digit of V reaches 2^(b+1).  Then F has
+digits f_i with |f_i| <= 2^b, and N F_N = sum N f_i 2^(w i) with every
+|N f_i| < 2^(w-1).  Digits of size below 2^(w-1) are unique, so N f_i
+is the coefficient itself, which therefore divides by N.  Conversely,
+exact quotients are below G_n < 2^b in size, and the test passes.  A
+failure names the first coefficient that does not divide; if none
+fails, the slice broke its proven bound.  Either way it raises.
 
 :class:`TruncatedSeries3` with :func:`factor_power` and
 :func:`series_mul` multiply the product out factor by factor.  They are
@@ -40,7 +66,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
-from itertools import compress
+from itertools import compress, repeat
+from operator import sub
 
 from .diamond import ConsistencyError, HodgeDiamond, _Record, _is_int, _wrong_type
 
@@ -53,8 +80,8 @@ __all__ = [
     "surface_diamond",
 ]
 
-# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.15 s and
-# abelian^[30] about 0.4 s (CPython 3.11, one core of a shared x86 host),
+# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.07 s and
+# abelian^[30] about 0.1 s (CPython 3.11, one core of a shared x86 host),
 # and the cost grows steeply with n, so a larger limit only invites long runs.
 DEFAULT_MAX_N = 30
 
@@ -214,37 +241,87 @@ def surface_diamond(kind: str) -> HodgeDiamond:
 # the Hilbert scheme diamonds
 
 
-def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> dict[int, int]:
-    """F_n by N F_N = sum_j T_j H_{N,j}; N F_N is a list by packed key."""
-    terms = [[(j * (p + base * q), h if j % 2 or (p + q) % 2 == 0 else -h)
-              for p, q, h in surface.items()] for j in range(n + 1)]
-    f: list[dict[int, int]] = [{0: 1}]
+def _digit_bits(surface: HodgeDiamond, n: int) -> int:
+    """Bit length of G_n = [t^n] prod_k (1 - t^k)^(-s), s = sum |h^{p,q}|.
+
+    Every coefficient of F_0..F_n is below G_n < 2^b in size (module
+    docstring).  N G_N = s sum_m sigma(m) G_{N-m}, with the divisor sums
+    sigma from a sieve.
+    """
+    s = sum(abs(h) for _, _, h in surface.items())
+    sigma = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            sigma[m] += d
+    g = [1]
     for big_n in range(1, n + 1):
-        acc = [0] * (2 * big_n * (base + 1) + 1)
+        g.append(s * sum(sigma[m] * g[big_n - m] for m in range(1, big_n + 1))
+                 // big_n)
+    return g[n].bit_length()
+
+
+def _digits(value: int, width: int, cells: int, bias: int) -> list[int]:
+    """The ``cells`` base-2^width digits of ``value`` >= 0, each less ``bias``."""
+    size = width // 8
+    raw = value.to_bytes(size * cells, byteorder="little")
+    chunks = (raw[i:i + size] for i in range(0, size * cells, size))
+    return list(map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(bias)))
+
+
+def _t_terms(surface: HodgeDiamond, n: int, base: int,
+             width: int) -> list[list[tuple[int, int]]]:
+    """T_0..T_n as (shift by the packed key, coefficient) pairs."""
+    classes = list(surface.items())
+    return [[(width * j * (p + base * q), h if j % 2 or (p + q) % 2 == 0 else -h)
+             for p, q, h in classes] for j in range(n + 1)]
+
+
+def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> list[int]:
+    """The coefficients of F_n by packed key, from N F_N = sum_j T_j H_{N,j}."""
+    bits = _digit_bits(surface, n)
+    width = 8 * -(-(bits + n.bit_length() + 2) // 8)
+    terms = _t_terms(surface, n, base, width)
+    xy = width * (base + 1)
+    ones = ((1 << width * base * base) - 1) // ((1 << width) - 1)
+    bias = ones << bits
+    high = ones * ((1 << width) - (1 << bits + 1))
+    f = [1]
+    biased = 1 + bias  # the biased F_0, read only when n = 0
+    for big_n in range(1, n + 1):
+        acc = 0
         for j in range(1, big_n + 1):
             if 2 * j > big_n:
                 h_nj = f[big_n - j]
             else:
-                h_nj = {}
-                for k in range(1, big_n // j + 1):
-                    shift = j * (k - 1) * (base + 1)
-                    for kf, cf in f[big_n - j * k].items():
-                        h_nj[kf + shift] = h_nj.get(kf + shift, 0) + k * cf
-            for kt, ct in terms[j]:
-                for kh, ch in h_nj.items():
-                    acc[kt + kh] += ct * ch
-        # The slices stay sparse dicts: odd classes cancel many terms, and
-        # each later T_j H_{N,j} pass should visit only nonzero entries.
-        slice_n: dict[int, int] = {}
-        for key, value in compress(enumerate(acc), acc):
-            coeff, remainder = divmod(value, big_n)
-            if remainder:
-                raise ConsistencyError(
+                h_nj = sum(k * f[big_n - j * k] << xy * j * (k - 1)
+                           for k in range(1, big_n // j + 1))
+            for shift, c in terms[j]:
+                acc += c * h_nj << shift
+        slice_n, remainder = divmod(acc, big_n)
+        # Each digit of the biased slice lies in [0, 2^(bits+1)) exactly
+        # when every coefficient of N F_N divides by N.
+        biased = slice_n + (bias >> xy * 2 * (n - big_n))
+        if (remainder or biased < 0 or biased & high
+                or biased.bit_length() > xy * 2 * big_n + width):
+            raise _indivisible(acc, big_n, base, width, bits)
+        f.append(slice_n)
+    return _digits(biased, width, base * base, 1 << bits)
+
+
+def _indivisible(acc: int, big_n: int, base: int, width: int,
+                 bits: int) -> ConsistencyError:
+    """The error for an N F_N that fails the divisibility test."""
+    cells = 2 * big_n * (base + 1) + 1
+    half = 1 << width - 1
+    biased = acc + half * (((1 << width * cells) - 1) // ((1 << width) - 1))
+    if 0 <= biased < 1 << width * cells:
+        for key, value in enumerate(_digits(biased, width, cells, half)):
+            if value % big_n:
+                return ConsistencyError(
                     f"coefficient {value} at x^{key % base} y^{key // base} "
                     f"t^{big_n} of t dF/dt is not divisible by {big_n}")
-            slice_n[key] = coeff
-        f.append(slice_n)
-    return f[n]
+    return ConsistencyError(
+        f"the t^{big_n} slice of t dF/dt exceeds its {bits}-bit coefficient bound")
 
 
 def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
@@ -252,12 +329,12 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
     """Hodge diamond of the Hilbert scheme of n points on a surface.
 
     Computed by the recurrence N F_N = sum_j T_j H_{N,j} of the module
-    docstring, on slices keyed by a + (2n+1) b.  n may not exceed
-    ``max_n``, by default the limit :data:`DEFAULT_MAX_N` = 30; ``max_n``
-    can lower that limit but not raise it.  An
-    inexact division by N, or a negative coefficient in the t^n slice,
-    cannot occur for an actual surface diamond and raises
-    :class:`ConsistencyError`.
+    docstring, each slice one integer packed by the key a + (2n+1) b.  n
+    may not exceed ``max_n``, by default the limit :data:`DEFAULT_MAX_N`
+    = 30; ``max_n`` can lower that limit but not raise it.  An inexact
+    division by N, a slice beyond its proven coefficient bound, or a
+    negative coefficient in the t^n slice cannot occur for an actual
+    surface diamond and raises :class:`ConsistencyError`.
 
     >>> hilbert_scheme_diamond(surface_diamond("k3"), 2).h(2, 2)
     232
@@ -276,11 +353,12 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
     if n > max_n:
         raise ValueError(f"n={n} exceeds the limit {max_n}")
     base = 2 * n + 1
-    packed = _packed_t_slice(surface, n, base)
-    table = {(key % base, key // base): value for key, value in packed.items()}
-    for (a, b), value in table.items():
-        if value < 0:
-            raise ConsistencyError(
-                f"negative coefficient {value} at x^{a} y^{b} t^{n} in the "
-                f"Hilbert scheme series")
-    return HodgeDiamond._trusted(table, 2 * n)
+    coefficients = _packed_t_slice(surface, n, base)
+    if min(coefficients) < 0:
+        key = next(key for key, value in enumerate(coefficients) if value < 0)
+        raise ConsistencyError(
+            f"negative coefficient {coefficients[key]} at x^{key % base} "
+            f"y^{key // base} t^{n} in the Hilbert scheme series")
+    bidegrees = ((a, b) for b in range(base) for a in range(base))
+    return HodgeDiamond._trusted(
+        dict(compress(zip(bidegrees, coefficients), coefficients)), 2 * n)

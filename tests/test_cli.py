@@ -236,6 +236,34 @@ def test_check_all_derives_each_markman_table_once(monkeypatch):
     assert calls == {"markman_assembly": 1, "markman_equivariant": 2}
 
 
+def test_check_all_builds_each_hilbert_scheme_once(monkeypatch):
+    # K3^[n] and abelian^[n] for n = 0..3, shared by the suites of one call.
+    built = []
+    exact = checks.hilbert_scheme_diamond
+
+    def counted(surface, n):
+        built.append((surface, n))
+        return exact(surface, n)
+
+    monkeypatch.setattr(checks, "hilbert_scheme_diamond", counted)
+    checks.run_suite("all")
+    assert len(built) == 8 and len(set(built)) == 8
+
+
+def test_check_all_drops_the_hilbert_schemes_before_the_equivariant_suite(monkeypatch):
+    # The shared diamonds must not sit in memory beside the 200-table loop.
+    held = []
+    equivariant = checks._SUITES["equivariant"]
+
+    def spy(hilb):
+        held.append(len(hilb))
+        return equivariant(hilb)
+
+    monkeypatch.setitem(checks._SUITES, "equivariant", spy)
+    checks.run_suite("all")
+    assert held == [0]
+
+
 def test_all_runs_every_suite_in_order():
     one_by_one = [result for name in checks.SUITE_NAMES
                   for result in checks.run_suite(name)]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +13,7 @@ from _oracles import (
     inverse_eta_power_coefficient,
     naive_truncated_product,
 )
+from ihshodge import goettsche
 from ihshodge.checks import _product_formula_slices
 from ihshodge.diamond import (
     ConsistencyError,
@@ -273,8 +273,6 @@ def test_hilb_odd_cohomology_stays_nonnegative():
 
 @pytest.mark.parametrize("h11, message", [
     (-1, "negative coefficient -1 at x^1 y^1 t^1"),
-    (Fraction(1, 2),
-     "coefficient 1/2 at x^1 y^1 t^1 of t dF/dt is not divisible by 1"),
 ])
 def test_hilb_guards_name_the_decoded_monomial(h11, message):
     # Tables no surface has, built unvalidated, reach each guard; the
@@ -282,6 +280,52 @@ def test_hilb_guards_name_the_decoded_monomial(h11, message):
     fake = HodgeDiamond._trusted({**surface_diamond("k3").entries, (1, 1): h11}, 2)
     with pytest.raises(ConsistencyError, match=re.escape(message)):
         hilbert_scheme_diamond(fake, 1)
+
+
+def test_hilb_divisibility_guard_names_the_decoded_monomial(monkeypatch):
+    # An odd coefficient of T_2 at x^0 y^0 makes that coefficient of
+    # 2 F_2 equal to 1 + 2 instead of 1 + 1, which no surface can give.
+    exact = goettsche._t_terms
+
+    def odd_t2(*args):
+        terms = exact(*args)
+        shift, c = terms[2][0]
+        terms[2][0] = (shift, c + 1)
+        return terms
+
+    monkeypatch.setattr(goettsche, "_t_terms", odd_t2)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "coefficient 3 at x^0 y^0 t^2 of t dF/dt is not divisible by 2")):
+        hilbert_scheme_diamond(surface_diamond("k3"), 2)
+
+
+@pytest.mark.parametrize("offset", [1 << 72, -(1 << 72)])
+def test_hilb_rejects_a_slice_beyond_its_last_digit(monkeypatch, offset):
+    # K3^[1] packs 9 cells of w = 8 bits (b = 5), 72 bits in all.  F_1
+    # moved by +-2^72 keeps every one of those digits in range, so only
+    # the sign and length conditions of the whole-integer test reject it.
+    exact = goettsche._t_terms
+
+    def moved(*args):
+        terms = exact(*args)
+        shift, c = terms[1][0]
+        terms[1][0] = (shift, c + offset)
+        return terms
+
+    monkeypatch.setattr(goettsche, "_t_terms", moved)
+    assert goettsche._digit_bits(surface_diamond("k3"), 1) == 5
+    with pytest.raises(ConsistencyError, match="coefficient bound"):
+        hilbert_scheme_diamond(surface_diamond("k3"), 1)
+
+
+@pytest.mark.parametrize("kind", ["k3", "abelian"])
+def test_hilb_too_narrow_width_raises(monkeypatch, kind):
+    # Digits that overflow their width carry into their neighbours; the
+    # whole-integer test must reject such a slice, never return a diamond.
+    monkeypatch.setattr(goettsche, "_digit_bits", lambda surface, n: 2)
+    for n in range(1, 10):
+        with pytest.raises(ConsistencyError, match="coefficient bound"):
+            hilbert_scheme_diamond(surface_diamond(kind), n)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +363,17 @@ def test_hilb_betti_numbers_on_random_surfaces(n):
         assert check_diamond(d) == (), surface
 
 
+def _surface_shaped(rng: random.Random, h11_max: int) -> HodgeDiamond:
+    q, pg, h11 = rng.randint(0, 2), rng.randint(0, 4), rng.randint(1, h11_max)
+    return HodgeDiamond({(0, 0): 1, (1, 0): q, (0, 1): q, (2, 0): pg,
+                         (1, 1): h11, (0, 2): pg, (2, 1): q, (1, 2): q,
+                         (2, 2): 1}, complex_dimension=2)
+
+
 def test_recurrence_matches_product_formula_on_random_surfaces():
     rng = random.Random(20260)
     for n in (1, 2, 3, 4, 5, 5):
-        q, pg, h11 = rng.randint(0, 2), rng.randint(0, 4), rng.randint(1, 50)
-        surface = HodgeDiamond({(0, 0): 1, (1, 0): q, (0, 1): q, (2, 0): pg,
-                                (1, 1): h11, (0, 2): pg, (2, 1): q, (1, 2): q,
-                                (2, 2): 1}, complex_dimension=2)
+        surface = _surface_shaped(rng, 50)
         for m, expected in enumerate(_product_formula_slices(surface, n)):
             got = hilbert_scheme_diamond(surface, m)
             assert got.entries == expected, (surface, m)
@@ -346,3 +394,36 @@ def test_recurrence_matches_product_formula_without_surface_symmetries():
         for m, expected in enumerate(_product_formula_slices(table, n)):
             got = hilbert_scheme_diamond(table, m)
             assert got.entries == expected, (table, m)
+
+
+# ---------------------------------------------------------------------------
+# the digit width of the packed recurrence
+
+
+def test_recurrence_matches_product_formula_with_digits_beyond_64_bits():
+    # h11 up to 10^12 with odd classes: the coefficients of F_6 reach
+    # about 230 bits, so every digit spans several machine words.
+    rng = random.Random(20263)
+    tables = [_surface_shaped(rng, 10 ** 12) for _ in range(3)]
+    tables.append(HodgeDiamond({(0, 0): 1, (1, 0): 3, (0, 1): 3, (1, 1): 10 ** 12,
+                                (2, 1): 3, (1, 2): 3, (2, 2): 1},
+                               complex_dimension=2))
+    for table in tables:
+        assert goettsche._digit_bits(table, 6) > 64
+        for m, expected in enumerate(_product_formula_slices(table, 6)):
+            assert hilbert_scheme_diamond(table, m).entries == expected, (table, m)
+
+
+def test_every_hodge_number_is_within_the_majorant():
+    # h^{p,q}(S^[n]) <= G_n = [t^n] prod_k (1 - t^k)^(-sum |h(S)|), the
+    # bound the packed width is built from.
+    rng = random.Random(20264)
+    cases = [(surface_diamond(kind), n) for kind in ("k3", "abelian")
+             for n in (*range(13), DEFAULT_MAX_N)]
+    cases += [(_surface_shaped(rng, 50), n) for n in range(4, 10) for _ in range(4)]
+    for surface, n in cases:
+        size = sum(abs(h) for _, _, h in surface.items())
+        bound = inverse_eta_power_coefficient(n, size)
+        assert goettsche._digit_bits(surface, n) == bound.bit_length()
+        d = hilbert_scheme_diamond(surface, n, max_n=n)
+        assert max(h for _, _, h in d.items()) <= bound, (surface, n)

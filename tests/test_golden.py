@@ -28,6 +28,8 @@ CASES = {
                              "--format", "json"],
     "hilb_n12_abelian.json": ["hilb", "--n", "12", "--surface", "abelian",
                               "--format", "json"],
+    "hilb_n30_k3.json": ["hilb", "--n", "30", "--surface", "k3",
+                         "--format", "json"],
     "check_all.txt": ["check", "--suite", "all"],
 }
 

@@ -40,6 +40,7 @@ from .goettsche import (
     surface_diamond,
 )
 from .pipeline import (
+    chern_numbers,
     derive_invariant_h2,
     markman_assembly,
     markman_equivariant,
@@ -134,6 +135,7 @@ def _product_formula_slices(surface: HodgeDiamond,
 def _suite_goettsche(hilb: _HilbertSchemes) -> list[CheckResult]:
     three = hilb["k3", 3]
     h2 = HodgeDiamond({(p, q): v for p, q, v in three.items() if p + q == 2})
+    chern = chern_numbers(three)
     return [
         _check("goettsche: recurrence matches the product formula",
                [(kind, m) for kind, n in (("k3", 3), ("abelian", 2))
@@ -154,6 +156,11 @@ def _suite_goettsche(hilb: _HilbertSchemes) -> list[CheckResult]:
         _check("goettsche: abelian Hilbert schemes have Euler number 0",
                [euler_characteristic(hilb["abelian", n]) for n in (1, 2, 3)],
                [0, 0, 0]),
+        _check("goettsche: OG6 and K3^[3] have Todd genus 4",
+               [10 * c.c2_cubed - 9 * c.c2_c4 + 2 * c.c6
+                for c in (run_full_pipeline().chern, chern)], [241920, 241920]),
+        _check("goettsche: K3^[3] Chern numbers c2^3, c2c4, c6",
+               (chern.c2_cubed, chern.c2_c4, chern.c6), (36800, 14720, 3200)),
     ]
 
 

@@ -135,8 +135,10 @@ class HodgeDiamond(_Record):
     """Immutable table (p, q) -> h^{p,q}, with an optional complex dimension.
 
     Zero entries are dropped on construction, so two diamonds compare
-    equal exactly when they store the same nonzero dimensions and the
-    same ``complex_dimension``.  Hodge symmetry and Poincare duality are
+    and hash equal exactly when they store the same nonzero dimensions
+    and the same ``complex_dimension``, in any order.  Entries stay in
+    build order; :meth:`items`, :attr:`entries`, ``repr`` and JSON read
+    them in lexicographic order.  Hodge symmetry and Poincare duality are
     deliberately not enforced: intermediate tables of a quotient
     computation violate both.  Run :func:`check_diamond` to test them.
 
@@ -161,24 +163,21 @@ class HodgeDiamond(_Record):
                     f"got {complex_dimension!r}")
         if type(entries) is not dict and not isinstance(entries, Mapping):
             raise ValueError(f"entries must be a mapping, got {entries!r}")
-        table = _validated_entries(entries, complex_dimension)
-        super().__init__({key: table[key] for key in sorted(table)}, complex_dimension)
+        super().__init__(_validated_entries(entries, complex_dimension), complex_dimension)
 
     @classmethod
     def _trusted(cls, table: Mapping[Bidegree, int],
                  complex_dimension: int | None = None) -> "HodgeDiamond":
         """Wrap a table computed from validated diamonds, skipping validation.
 
-        Zero entries are still dropped and the entries still sorted (by
-        bidegree alone, which is cheaper than sorting the items), so the
-        result compares and hashes equal to its validated counterpart.
+        Zero entries are still dropped, so the result compares and hashes
+        equal to its validated counterpart.  The entries keep the order of
+        ``table``, which is copied, never shared.
         """
-        if 0 in table.values():
-            table = {key: v for key, v in table.items() if v}
         d = object.__new__(cls)
         object.__setattr__(d, "_dim", complex_dimension)
-        object.__setattr__(d, "_entries", {key: table[key] for key in sorted(table)}
-                           if len(table) > 1 else dict(table))
+        object.__setattr__(d, "_entries", {key: v for key, v in table.items() if v}
+                           if 0 in table.values() else dict(table))
         return d
 
     @property
@@ -187,15 +186,15 @@ class HodgeDiamond(_Record):
 
     @property
     def entries(self) -> dict[Bidegree, int]:
-        """A fresh copy of the nonzero entries."""
-        return dict(self._entries)
+        """A fresh copy of the nonzero entries, in lexicographic order."""
+        return dict(sorted(self._entries.items()))
 
     def h(self, p: int, q: int) -> int:
         return self._entries.get((p, q), 0)
 
     def items(self) -> Iterator[tuple[int, int, int]]:
         """Yield (p, q, h^{p,q}) triples in lexicographic order."""
-        for (p, q), value in self._entries.items():
+        for (p, q), value in sorted(self._entries.items()):
             yield p, q, value
 
     def total_dimension(self) -> int:
@@ -209,7 +208,7 @@ class HodgeDiamond(_Record):
         return self._dim == other._dim and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash((self._dim, tuple(self._entries.items())))
+        return hash((self._dim, frozenset(self._entries.items())))
 
     def __bool__(self) -> bool:
         return bool(self._entries)
@@ -225,7 +224,7 @@ class HodgeDiamond(_Record):
     def to_json_dict(self) -> dict:
         return {
             "complex_dimension": self._dim,
-            "entries": [[p, q, v] for p, q, v in self.items()],
+            "entries": [[p, q, v] for (p, q), v in sorted(self._entries.items())],
         }
 
 
@@ -265,7 +264,7 @@ def betti(d: HodgeDiamond) -> BettiVector:
     if n is None:
         raise ValueError("betti needs a diamond with a complex dimension")
     row = [0] * (2 * n + 1)
-    for p, q, value in d.items():
+    for (p, q), value in d._entries.items():
         row[p + q] += value
     return BettiVector(n, tuple(row))
 
@@ -286,7 +285,7 @@ def euler_characteristic(d: HodgeDiamond) -> int:
     """Topological Euler characteristic sum (-1)^{p+q} h^{p,q}."""
     if not isinstance(d, HodgeDiamond):
         raise _wrong_type(HodgeDiamond, d)
-    return sum((-1) ** (p + q) * value for p, q, value in d.items())
+    return sum((-1) ** (p + q) * value for (p, q), value in d._entries.items())
 
 
 def weight_sums(d: HodgeDiamond) -> dict[int, int]:
@@ -294,7 +293,7 @@ def weight_sums(d: HodgeDiamond) -> dict[int, int]:
     if not isinstance(d, HodgeDiamond):
         raise _wrong_type(HodgeDiamond, d)
     out: dict[int, int] = {}
-    for p, q, value in d.items():
+    for (p, q), value in d._entries.items():
         out[p + q] = out.get(p + q, 0) + value
     return dict(sorted(out.items()))
 
@@ -381,6 +380,7 @@ def _graded_powers(d: HodgeDiamond, k: int, block,
         return acc
     for i, ((p, q), m) in enumerate(d._entries.items()):
         if (p + q) % 2:
+            p, q = min(key for key in d._entries if sum(key) % 2)
             raise ValueError(f"{op} needs even total degrees only; "
                              f"found an entry at ({p},{q})")
         powers = [(j, j * p, j * q, bd) for j in range(1, k + 1) if (bd := block(m, j))]

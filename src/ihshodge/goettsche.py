@@ -105,7 +105,8 @@ class TruncatedSeries3(_Record):
 
     Coefficients are exact integers; monomials x^a y^b t^m with a or b
     above ``max_xy`` or m above ``max_t`` are discarded on construction
-    and during multiplication.
+    and during multiplication.  Coefficients keep their build order, but
+    :meth:`items` and ``repr`` sort them; equality and hashes ignore order.
     """
 
     __slots__ = ("_coeffs", "max_xy", "max_t")
@@ -129,7 +130,7 @@ class TruncatedSeries3(_Record):
                 continue
             if value:
                 table[key] = value
-        super().__init__(dict(sorted(table.items())), max_xy, max_t)
+        super().__init__(table, max_xy, max_t)
 
     @classmethod
     def _trusted(cls, coefficients: Mapping[Exponents, int],
@@ -139,7 +140,7 @@ class TruncatedSeries3(_Record):
         object.__setattr__(s, "max_xy", max_xy)
         object.__setattr__(s, "max_t", max_t)
         object.__setattr__(s, "_coeffs",
-                           {key: v for key, v in sorted(coefficients.items()) if v})
+                           {key: v for key, v in coefficients.items() if v})
         return s
 
     @classmethod
@@ -150,18 +151,17 @@ class TruncatedSeries3(_Record):
         return self._coeffs.get((a, b, m), 0)
 
     def items(self) -> Iterator[tuple[Exponents, int]]:
-        yield from self._coeffs.items()
+        yield from sorted(self._coeffs.items())
 
     def t_slice(self, m: int) -> dict[tuple[int, int], int]:
         """The coefficient of t^m as a table (a, b) -> integer."""
-        out = {(a, b): c for (a, b, mm), c in self._coeffs.items() if mm == m}
-        return dict(sorted(out.items()))
+        return {(a, b): c for (a, b, mm), c in self.items() if mm == m}
 
     def __hash__(self) -> int:
-        return hash((self.max_xy, self.max_t, tuple(self._coeffs.items())))
+        return hash((self.max_xy, self.max_t, frozenset(self._coeffs.items())))
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"{key}: {value}" for key, value in self._coeffs.items())
+        terms = ", ".join(f"{key}: {value}" for key, value in self.items())
         return (f"TruncatedSeries3({{{terms}}}, max_xy={self.max_xy}, "
                 f"max_t={self.max_t})")
 
@@ -178,8 +178,8 @@ def series_mul(a: TruncatedSeries3, b: TruncatedSeries3) -> TruncatedSeries3:
             f"truncation bounds differ: ({a.max_xy},{a.max_t}) vs "
             f"({b.max_xy},{b.max_t})")
     table: dict[Exponents, int] = {}
-    for (a1, b1, m1), c1 in a.items():
-        for (a2, b2, m2), c2 in b.items():
+    for (a1, b1, m1), c1 in a._coeffs.items():
+        for (a2, b2, m2), c2 in b._coeffs.items():
             key = (a1 + a2, b1 + b2, m1 + m2)
             if key[0] > a.max_xy or key[1] > a.max_xy or key[2] > a.max_t:
                 continue

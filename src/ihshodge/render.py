@@ -32,7 +32,7 @@ def diamond_text(d: HodgeDiamond) -> str:
     n = d.complex_dimension
     if n is None:
         raise ValueError("text rendering needs a diamond with a dimension")
-    width = max((len(str(v)) for _, _, v in d.items()), default=1)
+    width = max((len(str(v)) for v in d._entries.values()), default=1)
     unit = width + 2
     lines = []
     for weight in range(2 * n + 1):

@@ -81,7 +81,6 @@ UNIMPORTED_EXPORTS = {
     "pipeline.ybar_invariants": "wrapped by name in perfbench/tracer.py",
     "pipeline.yhat_invariants": "wrapped by name in perfbench/tracer.py",
     "pipeline.og6_diamond": "wrapped by name in perfbench/tracer.py",
-    "pipeline.chern_numbers": "wrapped by name in perfbench/tracer.py",
 }
 
 

@@ -216,7 +216,25 @@ def test_a_failing_check_prints_what_it_got_and_expected(monkeypatch, capsys):
     assert ("FAIL goettsche: K3^[3] Euler characteristic: got 3201, expected 3200"
             in lines)
     passed, total = lines[-1].removesuffix(" checks passed").split("/")
-    assert total == "8" and int(passed) < 8
+    assert total == "10" and int(passed) < 10
+
+
+def test_a_failing_check_prints_its_table_in_lexicographic_order(monkeypatch, capsys):
+    # a table stores its build order; a FAIL detail must not show it
+    part = checks.invariant_part
+
+    def reversed_and_raised(d):
+        entries = part(d).entries
+        table = {key: entries[key] for key in sorted(entries, reverse=True)}
+        table[2, 2] = table.get((2, 2), 0) + 1
+        return HodgeDiamond._trusted(table)
+
+    monkeypatch.setattr(checks, "invariant_part", reversed_and_raised)
+    assert cli.main(["check", "--suite", "equivariant"]) == 1
+    assert ("FAIL equivariant: invariant weight 4 row is (1, 6, 157): got "
+            "{(0, 4): 1, (1, 3): 6, (2, 2): 158, (3, 1): 6, (4, 0): 1}, expected "
+            "{(4, 0): 1, (3, 1): 6, (2, 2): 157, (1, 3): 6, (0, 4): 1}"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_check_all_derives_each_markman_table_once(monkeypatch):

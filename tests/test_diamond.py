@@ -290,6 +290,11 @@ def test_powers_reject_odd_support():
         sym_power(odd, 2)
     with pytest.raises(ValueError):
         ext_power(odd, 2)
+    # the message names the first odd entry in lexicographic order, not in build order
+    for table in ({(2, 0): 1, (1, 0): 1, (0, 1): 1}, {(0, 1): 1, (1, 0): 1}):
+        for build in (HodgeDiamond, HodgeDiamond._trusted):
+            with pytest.raises(ValueError, match=re.escape("found an entry at (0,1)")):
+                sym_power(build(table), 2)
     with pytest.raises(ValueError):
         sym_power(HodgeDiamond({(1, 1): 1}), -1)
 
@@ -384,7 +389,7 @@ def test_direct_sum_with_an_empty_side():
     assert direct_sum(empty_surface, HodgeDiamond({}, 3)) == empty
 
 
-def test_trusted_drops_zeros_and_sorts():
+def test_trusted_drops_zeros_and_copies():
     table = {(2, 0): 1, (0, 0): 0, (1, 1): 3, (0, 2): 0}
     d = HodgeDiamond._trusted(table)
     assert list(d.items()) == [(1, 1, 3), (2, 0, 1)]
@@ -394,6 +399,18 @@ def test_trusted_drops_zeros_and_sorts():
     single = {(1, 1): 2}
     assert HodgeDiamond._trusted(single, 2).entries == single
     assert HodgeDiamond._trusted(single, 2)._entries is not single
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.integers(0, 3), max_size=8), st.data())
+def test_build_order_is_invisible(table, data):
+    orders = [data.draw(st.permutations(list(table))) for _ in range(2)]
+    for build in (HodgeDiamond, HodgeDiamond._trusted):
+        a, b = (build({key: table[key] for key in order}, 4) for order in orders)
+        assert a == b and hash(a) == hash(b)
+        assert list(a.items()) == list(b.items())
+        assert list(a.entries.items()) == list(b.entries.items())
+        assert repr(a) == repr(b) and a.to_json_dict() == b.to_json_dict()
 
 
 @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),

@@ -210,6 +210,21 @@ def eq_table_strategy():
                            max_size=3).map(EquivariantDiamond)
 
 
+@given(st.dictionaries(st.sampled_from(EVEN_DEGREES), pair_strategy(), max_size=6),
+       st.data())
+def test_equivariant_build_order_is_invisible(table, data):
+    a, b = (EquivariantDiamond({key: table[key] for key in
+                                data.draw(st.permutations(list(table)))})
+            for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert list(a.items()) == list(b.items())
+    assert list(a.entries.items()) == list(b.entries.items())
+    assert repr(a) == repr(b)
+    for part in (invariant_part, forget):
+        assert repr(part(a)) == repr(part(b))
+        assert part(a).to_json_dict() == part(b).to_json_dict()
+
+
 @given(eq_table_strategy(), st.integers(0, 3))
 def test_eq_sym_power_matches_oracle_multi_degree(d, k):
     assert eq_sym_power(d, k).entries == eq_sym_power_oracle(d.entries, k)

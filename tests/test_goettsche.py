@@ -123,6 +123,18 @@ def test_product_matches_naive_convolution(ca, cb):
     assert got == expected
 
 
+@given(coeffs_strategy(), st.data())
+def test_series_build_order_is_invisible(coefficients, data):
+    orders = [data.draw(st.permutations(list(coefficients))) for _ in range(2)]
+    for build in (TruncatedSeries3, TruncatedSeries3._trusted):
+        a, b = (build({key: coefficients[key] for key in order}, 3, 2)
+                for order in orders)
+        assert a == b and hash(a) == hash(b)
+        assert list(a.items()) == list(b.items()) and repr(a) == repr(b)
+        for m in range(3):
+            assert list(a.t_slice(m).items()) == list(b.t_slice(m).items())
+
+
 @given(coeffs_strategy(), coeffs_strategy(), coeffs_strategy())
 def test_product_laws(ca, cb, cc):
     a = TruncatedSeries3(ca, 3, 2)

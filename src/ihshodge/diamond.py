@@ -24,7 +24,6 @@ cohomology of a manifold.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -360,40 +359,34 @@ def tate_twist(d: HodgeDiamond, k: int) -> HodgeDiamond:
     return HodgeDiamond._trusted(table)
 
 
-def _sym_dim(m: int, j: int) -> int:
-    return math.comb(m + j - 1, j)
-
-
-def _graded_powers(d: HodgeDiamond, k: int, block,
-                   op: str) -> list[dict[Bidegree, int]]:
+def _graded_powers(d: HodgeDiamond, k: int, exterior: bool, op: str,
+                   rest: tuple[HodgeDiamond, ...] = ()) -> list[dict[Bidegree, int]]:
     """The raw tables of the j-th power of ``d`` for every j = 0 .. k.
 
-    ``block(m, j)`` is the dimension of the j-th power functor applied to
-    a single m-dimensional piece.  The first piece seeds each table; later
-    pieces are convolved in.  Odd total degrees are rejected.  An empty
-    table, once ``k`` is checked, gives {(0, 0): 1} and then k empty tables.
+    An m-dimensional piece has j-th powers of dimension C(m+j-1, j), or
+    C(m, j) if ``exterior``.  The first piece seeds each table; later ones
+    are convolved in.  An odd total degree raises, naming the first one in
+    ``d`` and ``rest``.  An empty ``d`` gives {(0, 0): 1}, then k empty tables.
     """
     if not _is_int(k) or k < 0:
         raise ValueError("power index must be a nonnegative integer")
     acc: list[dict[Bidegree, int]] = [{(0, 0): 1}] + [{} for _ in range(k)]
-    if not d._entries:
-        return acc
     for i, ((p, q), m) in enumerate(d._entries.items()):
         if (p + q) % 2:
-            p, q = min(key for key in d._entries if sum(key) % 2)
+            p, q = min(key for t in (d, *rest) for key in t._entries if sum(key) % 2)
             raise ValueError(f"{op} needs even total degrees only; "
                              f"found an entry at ({p},{q})")
-        powers = [(j, j * p, j * q, bd) for j in range(1, k + 1) if (bd := block(m, j))]
-        if not i:
-            for j, jp, jq, bd in powers:
-                acc[j][(jp, jq)] = bd
-            continue
-        # filling from the top, acc[total - j] does not hold this piece yet
-        for total in range(k, 0, -1):
+        powers, bd = [], 1
+        for j in range(1, (m if exterior and m < k else k) + 1):
+            bd = bd * (m - j + 1 if exterior else m + j - 1) // j
+            if i:
+                powers.append((j, j * p, j * q, bd))
+            else:  # the first piece seeds each table
+                acc[j][(j * p, j * q)] = bd
+        # later pieces fill from the top: acc[total - j] does not hold this one yet
+        for total in range(k if i else 0, 0, -1):
             tgt = acc[total]
-            for j, jp, jq, bd in powers:
-                if j > total:
-                    break
+            for j, jp, jq, bd in powers[:total]:
                 for (ap, aq), av in acc[total - j].items():
                     key = (ap + jp, aq + jq)
                     tgt[key] = tgt.get(key, 0) + av * bd
@@ -412,14 +405,14 @@ def sym_power(d: HodgeDiamond, k: int) -> HodgeDiamond:
     """
     if not isinstance(d, HodgeDiamond):
         raise _wrong_type(HodgeDiamond, d)
-    return HodgeDiamond._trusted(_graded_powers(d, k, _sym_dim, "sym_power")[k])
+    return HodgeDiamond._trusted(_graded_powers(d, k, False, "sym_power")[k])
 
 
 def ext_power(d: HodgeDiamond, k: int) -> HodgeDiamond:
     """k-th exterior power of a table supported in even total degree."""
     if not isinstance(d, HodgeDiamond):
         raise _wrong_type(HodgeDiamond, d)
-    return HodgeDiamond._trusted(_graded_powers(d, k, math.comb, "ext_power")[k])
+    return HodgeDiamond._trusted(_graded_powers(d, k, True, "ext_power")[k])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ exploits as a cross-check against the plain table algebra.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Mapping
 
 from .diamond import (
@@ -29,7 +28,6 @@ from .diamond import (
     _Record,
     _convolve,
     _graded_powers,
-    _sym_dim,
     _validated_entries,
     _wrong_type,
     direct_sum,
@@ -156,15 +154,18 @@ def eq_tate_twist(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
                                           tate_twist(d._minus, k))
 
 
-def _eq_power(d: EquivariantDiamond, k: int, block,
+def _eq_power(d: EquivariantDiamond, k: int, exterior: bool,
               op: str) -> EquivariantDiamond:
     """Split the k-th power of V+ + V- by the parity of its minus factors."""
     if not isinstance(d, EquivariantDiamond):
         raise _wrong_type(EquivariantDiamond, d)
-    plus = _graded_powers(d._plus, k, block, op)
-    minus = _graded_powers(d._minus, k, block, op)
-    signed: tuple[dict, dict] = ({}, {})
-    for i in range(k + 1):
+    plus = _graded_powers(d._plus, k, exterior, op, (d._minus,))
+    minus = _graded_powers(d._minus, k, exterior, op)
+    # V+^k (x) V-^0 and V+^0 (x) V-^k are V+^k and V-^k themselves, fresh tables
+    signed: tuple[dict, dict] = (plus[k], minus[k] if k % 2 else {})
+    for key, value in minus[k].items() if k and k % 2 == 0 else ():
+        signed[0][key] = signed[0].get(key, 0) + value
+    for i in range(1, k):
         if plus[i] and minus[k - i]:
             _convolve(plus[i], minus[k - i], signed[(k - i) % 2])
     return EquivariantDiamond._from_parts(HodgeDiamond._trusted(signed[0]),
@@ -176,9 +177,9 @@ def eq_sym_power(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
 
     Forgetting the involution recovers the plain ``sym_power``.
     """
-    return _eq_power(d, k, _sym_dim, "eq_sym_power")
+    return _eq_power(d, k, False, "eq_sym_power")
 
 
 def eq_ext_power(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
     """k-th exterior power with the eigenspace bookkeeping."""
-    return _eq_power(d, k, math.comb, "eq_ext_power")
+    return _eq_power(d, k, True, "eq_ext_power")

@@ -16,7 +16,7 @@ from _oracles import (
     eq_tensor_oracle,
     forget_oracle,
 )
-from ihshodge import checks
+from ihshodge import checks, equivariant
 from ihshodge.diamond import (
     HodgeDiamond,
     betti,
@@ -82,11 +82,24 @@ def test_invalid_entries_rejected(entries):
     ({(1, 1): 3}, "eigenspace dimensions at (1, 1) must be an integer pair, got 3"),
     ({(1, 1): (1, -1)}, "negative dimension -1 at (1,1)"),
     ({(1, 1): (-1, "x")}, "negative dimension -1 at (1,1)"),
+    ({(1, 1): (0, False)}, "dimension at (1,1) must be an integer, got False"),
+    ({(1, 1): (1.0, 0)}, "dimension at (1,1) must be an integer, got 1.0"),
+    ({(1, 1): (0, 2.5)}, "dimension at (1,1) must be an integer, got 2.5"),
+    ({(1.5, 1): (1, 0)}, "bidegree keys must be integer pairs, got (1.5, 1)"),
+    ({(2, False): (0, 1)}, "bidegree keys must be integer pairs, got (2, False)"),
+    ({(1, 1, 1): (1, 0)}, "bidegree keys must be integer pairs, got (1, 1, 1)"),
+    ({(1,): (1, 0)}, "bidegree keys must be integer pairs, got (1,)"),
+    ({"ab": (1, 0)}, "bidegree keys must be integer pairs, got 'ab'"),
+    ({(0, -2): (0, 1)}, "negative bidegree (0,-2)"),
+    ({(1, 1): (1,)}, "eigenspace dimensions at (1, 1) must be an integer pair, got (1,)"),
+    ({(1, 1): None}, "eigenspace dimensions at (1, 1) must be an integer pair, got None"),
     # every pair is split before either eigenspace is validated
     ({(1, 1): (-1, 0), (2, 2): [1, 2]},
      "eigenspace dimensions at (2, 2) must be an integer pair, got [1, 2]"),
     # the whole plus eigenspace is validated before the minus one
     ({(1, 1): (1, "x"), (0, 0): (-2, 0)}, "negative dimension -2 at (0,0)"),
+    ({(0, 0): (1, -1), (1, 1): (True, 0)}, "dimension at (1,1) must be an integer, got True"),
+    ({(0, 0): (1, 0), (1, 1): (0, -1), (2, 2): (-1, 0)}, "negative dimension -1 at (2,2)"),
     # a sequence of items is not a table
     ([((1, 1), (2, 0))], "entries must be a mapping, got [((1, 1), (2, 0))]"),
 ], ids=repr)
@@ -165,6 +178,31 @@ def test_eq_powers_reject_odd_support():
         eq_sym_power(odd, 2)
     with pytest.raises(ValueError):
         eq_ext_power(odd, 2)
+
+
+ODD_DEGREES = [(1, 0), (0, 1), (2, 1), (1, 2), (0, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_eq_powers_name_the_first_odd_entry_of_the_whole_table(seed):
+    rng = random.Random(seed)
+    table = {degree: (rng.randint(0, 2), rng.randint(0, 2))
+             for degree in rng.sample(EVEN_DEGREES + ODD_DEGREES, rng.randint(1, 6))}
+    table[rng.choice(ODD_DEGREES)] = rng.choice([(1, 0), (0, 1), (2, 1)])
+    d, k = EquivariantDiamond(table), rng.randint(0, 4)
+    for eq_power, power in ((eq_sym_power, sym_power), (eq_ext_power, ext_power)):
+        with pytest.raises(ValueError) as plain:
+            power(forget(d), k)
+        with pytest.raises(ValueError) as split:
+            eq_power(d, k)
+        assert str(split.value) == f"eq_{plain.value}"
+
+
+def test_eq_powers_name_an_odd_minus_entry_before_a_later_plus_one():
+    d = EquivariantDiamond({(1, 2): (1, 0), (0, 1): (0, 1)})
+    for operation in (eq_sym_power, eq_ext_power):
+        with pytest.raises(ValueError, match=re.escape("found an entry at (0,1)")):
+            operation(d, 2)
 
 
 def test_eq_sym_power_multi_degree_h2_split():
@@ -362,11 +400,20 @@ SEED_EDGE_TABLES = {
     "first piece below k": {(0, 0): (1, 1), (1, 1): (2, 0)},
     "pieces below k on both sides": {(0, 0): (1, 0), (2, 0): (0, 1), (1, 1): (1, 1)},
 }
+# one eigenspace only, and pieces of dimension m < k, whose Lambda^k vanishes
+ONE_SIDED_AND_SMALL_TABLES = {
+    "only plus, three pieces": {(0, 0): (1, 0), (1, 1): (2, 0), (2, 0): (1, 0)},
+    "only minus, two pieces": {(1, 1): (0, 2), (0, 2): (0, 1)},
+    "plus pieces below k": {(1, 1): (2, 0), (2, 2): (1, 0)},
+    "minus pieces below k": {(0, 0): (0, 1), (3, 1): (0, 2)},
+    "one piece below k": {(1, 1): (1, 1)},
+}
+POWER_EDGE_TABLES = {**SEED_EDGE_TABLES, **ONE_SIDED_AND_SMALL_TABLES}
 
 
-@pytest.mark.parametrize("entries", SEED_EDGE_TABLES.values(),
-                         ids=SEED_EDGE_TABLES.keys())
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("entries", POWER_EDGE_TABLES.values(),
+                         ids=POWER_EDGE_TABLES.keys())
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_eq_powers_seeded_by_first_piece_match_oracle(entries, k):
     d = EquivariantDiamond(entries)
     assert eq_sym_power(d, k).entries == eq_sym_power_oracle(entries, k)
@@ -386,6 +433,32 @@ def test_sums_and_tensors_with_an_empty_eigenspace_match_oracles(left, right):
     assert eq_tensor(a, b).entries == eq_tensor_oracle(left, right)
     assert eq_sum(a, b).entries == eq_sum_oracle(left, right)
     assert forget(a).entries == forget_oracle(left)
+
+
+@pytest.mark.parametrize("operation", [eq_sym_power, eq_ext_power])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_eq_powers_never_convolve_with_the_unit_table(monkeypatch, operation, k):
+    units, convolved = [], []
+    graded_powers, convolve = equivariant._graded_powers, equivariant._convolve
+
+    def graded_powers_spy(*args):
+        powers = graded_powers(*args)
+        units.append(powers[0])
+        return powers
+
+    def convolve_spy(a, b, out):
+        convolved.append((a, b))
+        return convolve(a, b, out)
+
+    monkeypatch.setattr(equivariant, "_graded_powers", graded_powers_spy)
+    monkeypatch.setattr(equivariant, "_convolve", convolve_spy)
+    rng = random.Random(k)
+    tables = [EquivariantDiamond(entries) for entries in POWER_EDGE_TABLES.values()]
+    for d in tables + [random_equivariant(rng) for _ in range(50)]:
+        operation(d, k)
+    assert units and all(unit == {(0, 0): 1} for unit in units)
+    assert bool(convolved) == (k >= 2)
+    assert not [pair for pair in convolved if any(t is u for t in pair for u in units)]
 
 
 @pytest.mark.parametrize("k", [-1, True, 1.5])

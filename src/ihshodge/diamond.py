@@ -165,18 +165,18 @@ class HodgeDiamond(_Record):
         super().__init__(_validated_entries(entries, complex_dimension), complex_dimension)
 
     @classmethod
-    def _trusted(cls, table: Mapping[Bidegree, int],
+    def _trusted(cls, table: dict[Bidegree, int],
                  complex_dimension: int | None = None) -> "HodgeDiamond":
-        """Wrap a table computed from validated diamonds, skipping validation.
+        """Wrap a fresh, zero-free table computed from validated diamonds.
 
-        Zero entries are still dropped, so the result compares and hashes
-        equal to its validated counterpart.  The entries keep the order of
-        ``table``, which is copied, never shared.
+        The result takes ownership of ``table``, as built: nothing copies,
+        validates or scans it.  The caller passes a dict nothing else holds
+        and leaves out zeros, so the result compares and hashes equal to
+        its validated counterpart.
         """
         d = object.__new__(cls)
         object.__setattr__(d, "_dim", complex_dimension)
-        object.__setattr__(d, "_entries", {key: v for key, v in table.items() if v}
-                           if 0 in table.values() else dict(table))
+        object.__setattr__(d, "_entries", table)
         return d
 
     @property

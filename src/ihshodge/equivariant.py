@@ -72,9 +72,13 @@ class EquivariantDiamond(_Record):
         object.__setattr__(self, "_minus", HodgeDiamond._trusted(minus))
 
     @classmethod
-    def _from_parts(cls, plus: HodgeDiamond,
-                    minus: HodgeDiamond) -> "EquivariantDiamond":
-        """Pair two abstract eigenspace tables."""
+    def _trusted(cls, plus: HodgeDiamond,
+                 minus: HodgeDiamond) -> "EquivariantDiamond":
+        """Pair two zero-free eigenspace tables, neither copied nor checked.
+
+        The rule of :meth:`HodgeDiamond._trusted`.  Tables are immutable, so
+        a part may be an input's eigenspace that ``direct_sum`` returned whole.
+        """
         d = object.__new__(cls)
         object.__setattr__(d, "_plus", plus)
         object.__setattr__(d, "_minus", minus)
@@ -130,8 +134,8 @@ def eq_sum(a: EquivariantDiamond, b: EquivariantDiamond) -> EquivariantDiamond:
     """Direct sum of each eigenspace."""
     if not (isinstance(a, EquivariantDiamond) and isinstance(b, EquivariantDiamond)):
         raise _wrong_type(EquivariantDiamond, a, b)
-    return EquivariantDiamond._from_parts(direct_sum(a._plus, b._plus),
-                                          direct_sum(a._minus, b._minus))
+    return EquivariantDiamond._trusted(direct_sum(a._plus, b._plus),
+                                       direct_sum(a._minus, b._minus))
 
 
 def eq_tensor(a: EquivariantDiamond, b: EquivariantDiamond) -> EquivariantDiamond:
@@ -142,16 +146,16 @@ def eq_tensor(a: EquivariantDiamond, b: EquivariantDiamond) -> EquivariantDiamon
     bp, bm = b._plus._entries, b._minus._entries
     plus = _convolve(am, bm, _convolve(ap, bp, {}))
     minus = _convolve(am, bp, _convolve(ap, bm, {}))
-    return EquivariantDiamond._from_parts(HodgeDiamond._trusted(plus),
-                                          HodgeDiamond._trusted(minus))
+    return EquivariantDiamond._trusted(HodgeDiamond._trusted(plus),
+                                       HodgeDiamond._trusted(minus))
 
 
 def eq_tate_twist(d: EquivariantDiamond, k: int) -> EquivariantDiamond:
     """Shift every entry from (p, q) to (p+k, q+k), keeping the signs."""
     if not isinstance(d, EquivariantDiamond):
         raise _wrong_type(EquivariantDiamond, d)
-    return EquivariantDiamond._from_parts(tate_twist(d._plus, k),
-                                          tate_twist(d._minus, k))
+    return EquivariantDiamond._trusted(tate_twist(d._plus, k),
+                                       tate_twist(d._minus, k))
 
 
 def _eq_power(d: EquivariantDiamond, k: int, exterior: bool,
@@ -168,8 +172,8 @@ def _eq_power(d: EquivariantDiamond, k: int, exterior: bool,
     for i in range(1, k):
         if plus[i] and minus[k - i]:
             _convolve(plus[i], minus[k - i], signed[(k - i) % 2])
-    return EquivariantDiamond._from_parts(HodgeDiamond._trusted(signed[0]),
-                                          HodgeDiamond._trusted(signed[1]))
+    return EquivariantDiamond._trusted(HodgeDiamond._trusted(signed[0]),
+                                       HodgeDiamond._trusted(signed[1]))
 
 
 def eq_sym_power(d: EquivariantDiamond, k: int) -> EquivariantDiamond:

@@ -133,14 +133,16 @@ class TruncatedSeries3(_Record):
         super().__init__(table, max_xy, max_t)
 
     @classmethod
-    def _trusted(cls, coefficients: Mapping[Exponents, int],
+    def _trusted(cls, coefficients: dict[Exponents, int],
                  max_xy: int, max_t: int) -> "TruncatedSeries3":
-        """Wrap in-bound coefficients computed from validated series."""
+        """Wrap fresh, zero-free, in-bound coefficients of validated series.
+
+        The rule of :meth:`HodgeDiamond._trusted`: the result owns the dict.
+        """
         s = object.__new__(cls)
         object.__setattr__(s, "max_xy", max_xy)
         object.__setattr__(s, "max_t", max_t)
-        object.__setattr__(s, "_coeffs",
-                           {key: v for key, v in coefficients.items() if v})
+        object.__setattr__(s, "_coeffs", coefficients)
         return s
 
     @classmethod
@@ -165,9 +167,6 @@ class TruncatedSeries3(_Record):
         return (f"TruncatedSeries3({{{terms}}}, max_xy={self.max_xy}, "
                 f"max_t={self.max_t})")
 
-    def __mul__(self, other: "TruncatedSeries3") -> "TruncatedSeries3":
-        return series_mul(self, other)
-
 
 def series_mul(a: TruncatedSeries3, b: TruncatedSeries3) -> TruncatedSeries3:
     """Product of two series with identical truncation bounds."""
@@ -184,7 +183,9 @@ def series_mul(a: TruncatedSeries3, b: TruncatedSeries3) -> TruncatedSeries3:
             if key[0] > a.max_xy or key[1] > a.max_xy or key[2] > a.max_t:
                 continue
             table[key] = table.get(key, 0) + c1 * c2
-    return TruncatedSeries3._trusted(table, a.max_xy, a.max_t)
+    # signed terms can cancel; no other builder of a series makes a zero
+    return TruncatedSeries3._trusted({key: c for key, c in table.items() if c},
+                                     a.max_xy, a.max_t)
 
 
 def factor_power(base_exponents: Exponents, sign: int, exponent: int,

@@ -201,18 +201,6 @@ def _blowup_classes(center: HodgeDiamond, codim: int,
     return out
 
 
-def _require_constants(constants: object) -> None:
-    """The one type check of every public function that takes constants."""
-    if not isinstance(constants, NamedConstants):
-        raise ValueError(f"constants must be NamedConstants, got {constants!r}")
-
-
-def _require_table(table: object) -> None:
-    """The one type check of every pipeline function that takes a table."""
-    if not isinstance(table, HodgeDiamond):
-        raise ValueError(f"table must be a HodgeDiamond, got {table!r}")
-
-
 def _delta_bar_diamond(constants: NamedConstants) -> HodgeDiamond:
     """Quotient of the 4-torus A x A^ by -1, resolved at the fixed points.
 
@@ -293,14 +281,15 @@ def markman_assembly(h2_total: HodgeDiamond) -> HodgeDiamond:
     this is :func:`markman_equivariant` with the involution forgotten;
     it cross-checks the Goettsche series route on K3^[3] itself.
     """
-    _require_table(h2_total)
+    if not isinstance(h2_total, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, h2_total)
     h2 = EquivariantDiamond({(p, q): (v, 0) for p, q, v in h2_total.items()})
     return complete_by_duality(forget(_lower_cohomology(h2)), 6)
 
 
 def _apply_corrections(d: HodgeDiamond, corrections: dict[Bidegree, int],
                        complex_dimension: int | None = None) -> HodgeDiamond:
-    table = d.entries
+    table = dict(d._entries)
     for key, delta in corrections.items():
         table[key] = table.get(key, 0) + delta
     return HodgeDiamond(table, complex_dimension=complex_dimension)
@@ -338,8 +327,10 @@ def _correct(table: HodgeDiamond, build, constants: NamedConstants,
 
     Returns the new table and the applied (p, q, delta) triples, sorted.
     """
-    _require_constants(constants)
-    _require_table(table)
+    if not isinstance(constants, NamedConstants):
+        raise _wrong_type(NamedConstants, constants)
+    if not isinstance(table, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, table)
     for p, q, _ in table.items():
         if p + q > 6:
             raise ValueError(
@@ -406,7 +397,8 @@ def chern_numbers(d: HodgeDiamond) -> ChernReport:
     Euler characteristic of the table, which happens exactly when the
     input is not the diamond of a hyperkaehler 6-fold.
     """
-    _require_table(d)
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
     if d.complex_dimension != 6:
         raise ValueError("chern_numbers needs a 6-dimensional diamond")
     chi0 = chi_p(d, 0)
@@ -457,7 +449,8 @@ def run_full_pipeline(constants: NamedConstants = _DEFAULTS
     recently used.  Failures are not cached, so corrupted constants
     raise on every call.
     """
-    _require_constants(constants)
+    if not isinstance(constants, NamedConstants):
+        raise _wrong_type(NamedConstants, constants)
     return _derived(_derive, constants)
 
 
@@ -517,7 +510,8 @@ def og6_via_dual_degrees(constants: NamedConstants = _DEFAULTS
     with each correction.  The result is cross-validated as in
     :func:`run_full_pipeline`.
     """
-    _require_constants(constants)
+    if not isinstance(constants, NamedConstants):
+        raise _wrong_type(NamedConstants, constants)
     diamond = _derived(_dual_degree_table, constants)
     _derived(_cross_validate, diamond, constants)
     return diamond

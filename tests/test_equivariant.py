@@ -392,6 +392,31 @@ def test_every_table_operation_returns_canonical_order(a, b, c, d, k):
         assert_canonical(result)
 
 
+def plain_parts(table):
+    if isinstance(table, EquivariantDiamond):
+        return table._plus, table._minus
+    return (table,)
+
+
+@given(eq_table_strategy(), eq_table_strategy(), plain_table_strategy(),
+       plain_table_strategy(), st.integers(0, 3))
+def test_every_table_operation_owns_a_zero_free_result(a, b, c, d, k):
+    # a part may be an input table returned whole (direct_sum, forget), but
+    # never a new table around an input's dict
+    even = forget(a)
+    held = [part for table in (a, b, c, d, even) for part in plain_parts(table)]
+    for result in (sym_power(even, k), ext_power(even, k), tensor(c, d),
+                   direct_sum(c, d), direct_sum(d, c), tate_twist(c, k),
+                   eq_sym_power(a, k), eq_ext_power(a, k), eq_tensor(a, b),
+                   eq_sum(a, b), eq_sum(b, a), eq_tate_twist(a, k), forget(a)):
+        parts = plain_parts(result)
+        assert len({id(part._entries) for part in parts}) == len(parts)
+        for part in parts:
+            assert 0 not in part._entries.values()
+            assert all(part is own or part._entries is not own._entries
+                       for own in held)
+
+
 SEED_EDGE_TABLES = {
     "empty": {},
     "single piece": {(1, 1): (2, 1)},

@@ -61,8 +61,7 @@ K3_HILB3 = {
 def test_one_is_multiplicative_unit():
     one = TruncatedSeries3.one(4, 2)
     f = TruncatedSeries3({(1, 0, 1): 3, (0, 2, 2): -5}, 4, 2)
-    assert series_mul(one, f) == f
-    assert one * f == f * one
+    assert series_mul(one, f) == f == series_mul(f, one)
 
 
 def test_out_of_bound_monomials_dropped():
@@ -97,7 +96,8 @@ def test_bool_is_not_an_integer():
 def test_difference_of_squares():
     plus = TruncatedSeries3({(0, 0, 0): 1, (1, 0, 1): 1}, 4, 4)
     minus = TruncatedSeries3({(0, 0, 0): 1, (1, 0, 1): -1}, 4, 4)
-    product = plus * minus
+    # the x t terms cancel, and series_mul drops the zero they leave
+    product = series_mul(plus, minus)
     assert product == TruncatedSeries3({(0, 0, 0): 1, (2, 0, 2): -1}, 4, 4)
 
 
@@ -126,8 +126,11 @@ def test_product_matches_naive_convolution(ca, cb):
 @given(coeffs_strategy(), st.data())
 def test_series_build_order_is_invisible(coefficients, data):
     orders = [data.draw(st.permutations(list(coefficients))) for _ in range(2)]
-    for build in (TruncatedSeries3, TruncatedSeries3._trusted):
-        a, b = (build({key: coefficients[key] for key in order}, 3, 2)
+    zero_free = {key: c for key, c in coefficients.items() if c}
+    # the public constructor drops zeros; _trusted is never given any
+    for build, source in ((TruncatedSeries3, coefficients),
+                          (TruncatedSeries3._trusted, zero_free)):
+        a, b = (build({key: source[key] for key in order if key in source}, 3, 2)
                 for order in orders)
         assert a == b and hash(a) == hash(b)
         assert list(a.items()) == list(b.items()) and repr(a) == repr(b)
@@ -140,8 +143,26 @@ def test_product_laws(ca, cb, cc):
     a = TruncatedSeries3(ca, 3, 2)
     b = TruncatedSeries3(cb, 3, 2)
     c = TruncatedSeries3(cc, 3, 2)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
+    assert series_mul(a, b) == series_mul(b, a)
+    assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
+
+
+@given(coeffs_strategy(), coeffs_strategy(), monomial_key(), st.sampled_from((1, -1)),
+       st.integers(-4, 4))
+def test_series_results_own_zero_free_dicts(ca, cb, base, sign, exponent):
+    a = TruncatedSeries3(ca, 3, 2)
+    b = TruncatedSeries3(cb, 3, 2)
+    one = TruncatedSeries3.one(3, 2)
+    results = [series_mul(a, b), series_mul(a, a), series_mul(a, one)]
+    if any(base):
+        power = factor_power(base, sign, exponent, 3, 2)
+        # every term but the constant one cancels
+        inverse = series_mul(power, factor_power(base, sign, -exponent, 3, 2))
+        assert inverse == one
+        results += [power, inverse]
+    for result in results:
+        assert 0 not in result._coeffs.values()
+        assert all(result._coeffs is not s._coeffs for s in (a, b, one))
 
 
 # ---------------------------------------------------------------------------

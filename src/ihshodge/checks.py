@@ -156,6 +156,10 @@ def _suite_goettsche(hilb: _HilbertSchemes) -> list[CheckResult]:
         _check("goettsche: abelian Hilbert schemes have Euler number 0",
                [euler_characteristic(hilb["abelian", n]) for n in (1, 2, 3)],
                [0, 0, 0]),
+        _check("goettsche: OG6 and K3^[0..3] have h^{p,0} = 1 for even p, 0 for odd p",
+               [[d.h(p, 0) for p in range(d.complex_dimension + 1)]
+                for d in (run_full_pipeline().diamond, *(hilb["k3", n] for n in range(4)))],
+               [[1 - p % 2 for p in range(dim + 1)] for dim in (6, 0, 2, 4, 6)]),
         _check("goettsche: OG6 and K3^[3] have Todd genus 4",
                [10 * c.c2_cubed - 9 * c.c2_c4 + 2 * c.c6
                 for c in (run_full_pipeline().chern, chern)], [241920, 241920]),

@@ -24,7 +24,8 @@ the recurrence
 from F_0 = 1; H_{N,j} is F_{N-j} once 2j > N.  Only the two-variable
 slices F_0..F_n are built.  Every monomial of F_N and of T_j H_{N,j} has
 x- and y-degree at most 2N, so x^a y^b packs into z^key with key
-a + (2n+1) b: adding keys adds exponents without carries.
+(2n+1) a + b: adding keys adds exponents without carries, and keys run
+in the lexicographic order of (a, b).
 
 Each slice is one Python integer, its polynomial in z evaluated at
 z = 2^w (Kronecker substitution).  Multiplying by x^a y^b is a left
@@ -40,7 +41,7 @@ replaced by its size, the recurrence solves to the product with factors
 nonnegative, bound those of F in size by induction on N, and at
 x = y = 1 sum to G_m.  G_m does not decrease with m (for s > 0 the
 product has the factor 1/(1 - t)), so each coefficient of F_m, m <= n,
-is below G_n < 2^b in size, b the bit length of G_n, and each of N F_N
+is at most G_n < 2^b in size, b the bit length of G_n, and each of N F_N
 below n 2^b.  So w = 8 ceil((b + bitlength(n) + 2) / 8) bits hold every
 digit read, with room for a sign; whole bytes let F_n unpack through
 ``to_bytes``.
@@ -52,9 +53,13 @@ plus 2^b in every digit.  The test passes when the remainder is 0,
 digits f_i with |f_i| <= 2^b, and N F_N = sum N f_i 2^(w i) with every
 |N f_i| < 2^(w-1).  Digits of size below 2^(w-1) are unique, so N f_i
 is the coefficient itself, which therefore divides by N.  Conversely,
-exact quotients are below G_n < 2^b in size, and the test passes.  A
+exact quotients are at most G_n < 2^b in size, and the test passes.  A
 failure names the first coefficient that does not divide; if none
-fails, the slice broke its proven bound.  Either way it raises.
+fails, the slice broke its proven bound.  Either way it raises.  Once
+F_n has passed, its biased digits f_i + 2^b lie in [0, 2^(b+1)), so
+f_i >= 0 exactly when bit b of digit i is set.  One more whole-integer
+test, V AND B = B with B = 2^b in every digit, thus decides that F_n has
+no negative coefficient; then F_n = V - B unpacks as it is.
 
 :class:`TruncatedSeries3` with :func:`factor_power` and
 :func:`series_mul` multiply the product out factor by factor.  They are
@@ -66,8 +71,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
-from itertools import compress, repeat
-from operator import sub
+from functools import lru_cache
+from itertools import compress, product, repeat
 
 from .diamond import ConsistencyError, HodgeDiamond, _Record, _is_int, _wrong_type
 
@@ -80,8 +85,8 @@ __all__ = [
     "surface_diamond",
 ]
 
-# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.07 s and
-# abelian^[30] about 0.1 s (CPython 3.11, one core of a shared x86 host),
+# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.04 s and
+# abelian^[30] about 0.055 s (CPython 3.11, one core of a shared x86 host),
 # and the cost grows steeply with n, so a larger limit only invites long runs.
 DEFAULT_MAX_N = 30
 
@@ -242,44 +247,44 @@ def surface_diamond(kind: str) -> HodgeDiamond:
 # the Hilbert scheme diamonds
 
 
-def _digit_bits(surface: HodgeDiamond, n: int) -> int:
-    """Bit length of G_n = [t^n] prod_k (1 - t^k)^(-s), s = sum |h^{p,q}|.
+@lru_cache(maxsize=1024)
+def _digit_bits(size: int, n: int) -> int:
+    """Bit length of G_n = [t^n] prod_k (1 - t^k)^(-s), s = ``size``.
 
-    Every coefficient of F_0..F_n is below G_n < 2^b in size (module
-    docstring).  N G_N = s sum_m sigma(m) G_{N-m}, with the divisor sums
-    sigma from a sieve.
+    With s = sum |h^{p,q}|, every coefficient of F_0..F_n is at most
+    G_n < 2^b in size (module docstring).  N G_N = s sum_m sigma(m)
+    G_{N-m}, with the divisor sums sigma from a sieve.
     """
-    s = sum(abs(h) for _, _, h in surface.items())
     sigma = [0] * (n + 1)
     for d in range(1, n + 1):
         for m in range(d, n + 1, d):
             sigma[m] += d
     g = [1]
     for big_n in range(1, n + 1):
-        g.append(s * sum(sigma[m] * g[big_n - m] for m in range(1, big_n + 1))
+        g.append(size * sum(sigma[m] * g[big_n - m] for m in range(1, big_n + 1))
                  // big_n)
     return g[n].bit_length()
 
 
-def _digits(value: int, width: int, cells: int, bias: int) -> list[int]:
-    """The ``cells`` base-2^width digits of ``value`` >= 0, each less ``bias``."""
+def _digits(value: int, width: int, cells: int) -> list[int]:
+    """The ``cells`` base-2^width digits of ``value`` >= 0."""
     size = width // 8
     raw = value.to_bytes(size * cells, byteorder="little")
     chunks = (raw[i:i + size] for i in range(0, size * cells, size))
-    return list(map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(bias)))
+    return list(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _t_terms(surface: HodgeDiamond, n: int, base: int,
              width: int) -> list[list[tuple[int, int]]]:
     """T_0..T_n as (shift by the packed key, coefficient) pairs."""
     classes = list(surface.items())
-    return [[(width * j * (p + base * q), h if j % 2 or (p + q) % 2 == 0 else -h)
+    return [[(width * j * (base * p + q), h if j % 2 or (p + q) % 2 == 0 else -h)
              for p, q, h in classes] for j in range(n + 1)]
 
 
 def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> list[int]:
     """The coefficients of F_n by packed key, from N F_N = sum_j T_j H_{N,j}."""
-    bits = _digit_bits(surface, n)
+    bits = _digit_bits(sum(map(abs, surface._entries.values())), n)
     width = 8 * -(-(bits + n.bit_length() + 2) // 8)
     terms = _t_terms(surface, n, base, width)
     xy = width * (base + 1)
@@ -297,7 +302,7 @@ def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> list[int]:
                 h_nj = sum(k * f[big_n - j * k] << xy * j * (k - 1)
                            for k in range(1, big_n // j + 1))
             for shift, c in terms[j]:
-                acc += c * h_nj << shift
+                acc += (h_nj if c == 1 else c * h_nj) << shift
         slice_n, remainder = divmod(acc, big_n)
         # Each digit of the biased slice lies in [0, 2^(bits+1)) exactly
         # when every coefficient of N F_N divides by N.
@@ -306,7 +311,13 @@ def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> list[int]:
                 or biased.bit_length() > xy * 2 * big_n + width):
             raise _indivisible(acc, big_n, base, width, bits)
         f.append(slice_n)
-    return _digits(biased, width, base * base, 1 << bits)
+    if biased & bias != bias:  # a digit without bit ``bits``: a negative coefficient
+        key, value = next((key, d - (1 << bits)) for key, d in
+                          enumerate(_digits(biased, width, base * base)) if d >> bits == 0)
+        raise ConsistencyError(f"negative coefficient {value} at x^{key // base} "
+                               f"y^{key % base} t^{n} in the Hilbert scheme series")
+    del biased  # unpacking F_n sets a call's peak memory; drop this copy first
+    return _digits(f[n], width, base * base)
 
 
 def _indivisible(acc: int, big_n: int, base: int, width: int,
@@ -316,10 +327,10 @@ def _indivisible(acc: int, big_n: int, base: int, width: int,
     half = 1 << width - 1
     biased = acc + half * (((1 << width * cells) - 1) // ((1 << width) - 1))
     if 0 <= biased < 1 << width * cells:
-        for key, value in enumerate(_digits(biased, width, cells, half)):
-            if value % big_n:
+        for key, digit in enumerate(_digits(biased, width, cells)):
+            if (digit - half) % big_n:
                 return ConsistencyError(
-                    f"coefficient {value} at x^{key % base} y^{key // base} "
+                    f"coefficient {digit - half} at x^{key // base} y^{key % base} "
                     f"t^{big_n} of t dF/dt is not divisible by {big_n}")
     return ConsistencyError(
         f"the t^{big_n} slice of t dF/dt exceeds its {bits}-bit coefficient bound")
@@ -330,7 +341,7 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
     """Hodge diamond of the Hilbert scheme of n points on a surface.
 
     Computed by the recurrence N F_N = sum_j T_j H_{N,j} of the module
-    docstring, each slice one integer packed by the key a + (2n+1) b.  n
+    docstring, each slice one integer packed by the key (2n+1) a + b.  n
     may not exceed ``max_n``, by default the limit :data:`DEFAULT_MAX_N`
     = 30; ``max_n`` can lower that limit but not raise it.  An inexact
     division by N, a slice beyond its proven coefficient bound, or a
@@ -355,11 +366,5 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
         raise ValueError(f"n={n} exceeds the limit {max_n}")
     base = 2 * n + 1
     coefficients = _packed_t_slice(surface, n, base)
-    if min(coefficients) < 0:
-        key = next(key for key, value in enumerate(coefficients) if value < 0)
-        raise ConsistencyError(
-            f"negative coefficient {coefficients[key]} at x^{key % base} "
-            f"y^{key // base} t^{n} in the Hilbert scheme series")
-    bidegrees = ((a, b) for b in range(base) for a in range(base))
-    return HodgeDiamond._trusted(
-        dict(compress(zip(bidegrees, coefficients), coefficients)), 2 * n)
+    return HodgeDiamond._trusted(dict(compress(
+        zip(product(range(base), repeat=2), coefficients), coefficients)), 2 * n)

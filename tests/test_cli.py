@@ -216,7 +216,7 @@ def test_a_failing_check_prints_what_it_got_and_expected(monkeypatch, capsys):
     assert ("FAIL goettsche: K3^[3] Euler characteristic: got 3201, expected 3200"
             in lines)
     passed, total = lines[-1].removesuffix(" checks passed").split("/")
-    assert total == "10" and int(passed) < 10
+    assert total == "11" and int(passed) < 11
 
 
 def test_a_failing_check_prints_its_table_in_lexicographic_order(monkeypatch, capsys):

@@ -304,32 +304,38 @@ def test_hilb_odd_cohomology_stays_nonnegative():
     assert all(value > 0 for _, _, value in d.items())
 
 
-@pytest.mark.parametrize("h11, message", [
-    (-1, "negative coefficient -1 at x^1 y^1 t^1"),
+@pytest.mark.parametrize("changes, message", [
+    ({(1, 1): -1}, "negative coefficient -1 at x^1 y^1 t^1"),
+    ({(2, 0): -1}, "negative coefficient -1 at x^2 y^0 t^1"),
+    ({(2, 0): -1, (0, 2): -2}, "negative coefficient -2 at x^0 y^2 t^1"),
 ])
-def test_hilb_guards_name_the_decoded_monomial(h11, message):
+def test_hilb_guards_name_the_decoded_monomial(changes, message):
     # Tables no surface has, built unvalidated, reach each guard; the
-    # message names the bidegree decoded from the packed key.
-    fake = HodgeDiamond._trusted({**surface_diamond("k3").entries, (1, 1): h11}, 2)
+    # message names the bidegree decoded from the packed key, and of
+    # several negatives the first in the lexicographic order of items().
+    fake = HodgeDiamond._trusted({**surface_diamond("k3").entries, **changes}, 2)
     with pytest.raises(ConsistencyError, match=re.escape(message)):
         hilbert_scheme_diamond(fake, 1)
 
 
 def test_hilb_divisibility_guard_names_the_decoded_monomial(monkeypatch):
     # An odd coefficient of T_2 at x^0 y^0 makes that coefficient of
-    # 2 F_2 equal to 1 + 2 instead of 1 + 1, which no surface can give.
+    # 2 F_2 equal to 1 + 2 instead of 1 + 1, which no surface can give;
+    # at x^2 y^0 it does the same to the coefficient at x^4 y^0.
     exact = goettsche._t_terms
+    k3 = surface_diamond("k3")
+    classes = [(p, q) for p, q, _ in k3.items()]
+    for cell, monomial in (((0, 0), "x^0 y^0"), ((2, 0), "x^4 y^0")):
+        def odd_t2(*args, i=classes.index(cell)):
+            terms = exact(*args)
+            shift, c = terms[2][i]
+            terms[2][i] = (shift, c + 1)
+            return terms
 
-    def odd_t2(*args):
-        terms = exact(*args)
-        shift, c = terms[2][0]
-        terms[2][0] = (shift, c + 1)
-        return terms
-
-    monkeypatch.setattr(goettsche, "_t_terms", odd_t2)
-    with pytest.raises(ConsistencyError, match=re.escape(
-            "coefficient 3 at x^0 y^0 t^2 of t dF/dt is not divisible by 2")):
-        hilbert_scheme_diamond(surface_diamond("k3"), 2)
+        monkeypatch.setattr(goettsche, "_t_terms", odd_t2)
+        with pytest.raises(ConsistencyError, match=re.escape(
+                f"coefficient 3 at {monomial} t^2 of t dF/dt is not divisible by 2")):
+            hilbert_scheme_diamond(k3, 2)
 
 
 @pytest.mark.parametrize("offset", [1 << 72, -(1 << 72)])
@@ -346,7 +352,7 @@ def test_hilb_rejects_a_slice_beyond_its_last_digit(monkeypatch, offset):
         return terms
 
     monkeypatch.setattr(goettsche, "_t_terms", moved)
-    assert goettsche._digit_bits(surface_diamond("k3"), 1) == 5
+    assert goettsche._digit_bits(24, 1) == 5
     with pytest.raises(ConsistencyError, match="coefficient bound"):
         hilbert_scheme_diamond(surface_diamond("k3"), 1)
 
@@ -355,7 +361,7 @@ def test_hilb_rejects_a_slice_beyond_its_last_digit(monkeypatch, offset):
 def test_hilb_too_narrow_width_raises(monkeypatch, kind):
     # Digits that overflow their width carry into their neighbours; the
     # whole-integer test must reject such a slice, never return a diamond.
-    monkeypatch.setattr(goettsche, "_digit_bits", lambda surface, n: 2)
+    monkeypatch.setattr(goettsche, "_digit_bits", lambda size, n: 2)
     for n in range(1, 10):
         with pytest.raises(ConsistencyError, match="coefficient bound"):
             hilbert_scheme_diamond(surface_diamond(kind), n)
@@ -405,8 +411,16 @@ def _surface_shaped(rng: random.Random, h11_max: int) -> HodgeDiamond:
 
 def test_recurrence_matches_product_formula_on_random_surfaces():
     rng = random.Random(20260)
-    for n in (1, 2, 3, 4, 5, 5):
-        surface = _surface_shaped(rng, 50)
+    cases = [(_surface_shaped(rng, 50), n) for n in (1, 2, 3, 4, 5, 5)]
+    # T_j's coefficients of 1 skip their multiply; E x P^1's lone odd
+    # class h^{1,0} = 1 gives -1 at even j, and h^{0,0} = 2 gives 2.  The
+    # empty table gives empty diamonds for n >= 1.
+    cases += [(HodgeDiamond(table, complex_dimension=2), 5) for table in (
+        {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1, (1, 2): 1, (2, 2): 1},
+        {(0, 0): 2, (2, 0): 1, (1, 1): 3, (0, 2): 1, (2, 2): 2},
+        {},
+    )]
+    for surface, n in cases:
         for m, expected in enumerate(_product_formula_slices(surface, n)):
             got = hilbert_scheme_diamond(surface, m)
             assert got.entries == expected, (surface, m)
@@ -442,7 +456,7 @@ def test_recurrence_matches_product_formula_with_digits_beyond_64_bits():
                                 (2, 1): 3, (1, 2): 3, (2, 2): 1},
                                complex_dimension=2))
     for table in tables:
-        assert goettsche._digit_bits(table, 6) > 64
+        assert goettsche._digit_bits(sum(h for _, _, h in table.items()), 6) > 64
         for m, expected in enumerate(_product_formula_slices(table, 6)):
             assert hilbert_scheme_diamond(table, m).entries == expected, (table, m)
 
@@ -457,6 +471,6 @@ def test_every_hodge_number_is_within_the_majorant():
     for surface, n in cases:
         size = sum(abs(h) for _, _, h in surface.items())
         bound = inverse_eta_power_coefficient(n, size)
-        assert goettsche._digit_bits(surface, n) == bound.bit_length()
+        assert goettsche._digit_bits(size, n) == bound.bit_length()
         d = hilbert_scheme_diamond(surface, n, max_n=n)
         assert max(h for _, _, h in d.items()) <= bound, (surface, n)

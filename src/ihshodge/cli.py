@@ -5,9 +5,12 @@ Three subcommands:
 * ``og6``: run the full OG6 derivation and print the diamond, the Betti
   numbers and the Chern numbers (``--trace`` adds the audit trail).
 * ``hilb``: print the diamond of the Hilbert scheme of n points on a K3
-  or abelian surface.  n is limited to 30, the one limit
-  :data:`~ihshodge.goettsche.DEFAULT_MAX_N`, which keeps every request
-  within a couple of seconds; a larger n exits 2.
+  or abelian surface.  n is limited to 30, the one limit on n
+  :data:`~ihshodge.goettsche.DEFAULT_MAX_N`; a larger n exits 2.  The
+  library also rejects, before any work, a surface and n whose packed
+  slice (digit width times cells) exceeds
+  :data:`~ihshodge.goettsche.MAX_PACKED_BITS` = 2^20 bits; K3^[30]
+  packs 133,992 and abelian^[30] 238,144.
 * ``check``: run a named invariant suite and report each check, as
   ``ok   <name>`` or ``FAIL <name>: got <computed!r>, expected
   <expected!r>``, then ``k/m checks passed``.

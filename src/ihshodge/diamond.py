@@ -209,9 +209,6 @@ class HodgeDiamond(_Record):
     def __hash__(self) -> int:
         return hash((self._dim, frozenset(self._entries.items())))
 
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
     def __repr__(self) -> str:
         body = ", ".join(f"({p},{q}): {v}" for p, q, v in self.items())
         if self._dim is None:
@@ -474,7 +471,7 @@ def solve_betti_dim6(b0: int, b2: int, chi_top: int) -> tuple[int, int]:
 
 
 def check_diamond(d: HodgeDiamond) -> tuple[str, ...]:
-    """Violations of Hodge symmetry, Poincare duality and positivity.
+    """Violations of Hodge symmetry and Poincare duality.
 
     An empty tuple means the diamond passes.
     """
@@ -484,9 +481,6 @@ def check_diamond(d: HodgeDiamond) -> tuple[str, ...]:
     if n is None:
         raise ValueError("check_diamond needs a diamond with a complex dimension")
     found: list[str] = []
-    for p, q, value in d.items():
-        if value < 0:
-            found.append(f"negative entry {value} at ({p},{q})")
     for p in range(n + 1):
         for q in range(p + 1, n + 1):
             if d.h(p, q) != d.h(q, p):

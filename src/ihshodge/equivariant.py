@@ -97,9 +97,6 @@ class EquivariantDiamond(_Record):
         for key in sorted(plus.keys() | minus.keys()):
             yield *key, plus.get(key, 0), minus.get(key, 0)
 
-    def __bool__(self) -> bool:
-        return bool(self._plus or self._minus)
-
     def __repr__(self) -> str:
         body = ", ".join(f"({p},{q}): ({pl},{mi})" for p, q, pl, mi in self.items())
         return f"EquivariantDiamond({{{body}}})"

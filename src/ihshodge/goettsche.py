@@ -27,10 +27,20 @@ x- and y-degree at most 2N, so x^a y^b packs into z^key with key
 (2n+1) a + b: adding keys adds exponents without carries, and keys run
 in the lexicographic order of (a, b).
 
+Not every key is reached.  Each key of each T_j, H_{N,j}, N F_N and F_N
+is a sum of multiples of the class keys (2n+1) p + q and of the key
+2n + 2 of xy, so it is a multiple of their gcd, the step: 2n + 2 when
+every class lies on the diagonal p = q, 2 when no class has odd p + q,
+and 1 otherwise.  Keys divided by the step still add, still run in
+order and still name one (a, b) each, so a slice packs on the cells
+0..2n (2n+2) / step alone.  Each cell still holds one coefficient and
+no sum of several, so the width proof below holds as it stands.
+
 Each slice is one Python integer, its polynomial in z evaluated at
 z = 2^w (Kronecker substitution).  Multiplying by x^a y^b is a left
-shift by w key, so H_{N,j} and N F_N are sums of shifted small multiples
-of earlier slices, and CPython's big-integer code does all of the work.
+shift by w key / step, so H_{N,j} and N F_N are sums of shifted small
+multiples of earlier slices, and CPython's big-integer code does all of
+the work.
 Evaluation at 2^w is a ring homomorphism, so every packed integer is
 exact whatever its digits; only N F_N and F_n are ever read as digits.
 
@@ -72,12 +82,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from functools import lru_cache
-from itertools import compress, product, repeat
+from itertools import compress, repeat
 
 from .diamond import ConsistencyError, HodgeDiamond, _Record, _is_int, _wrong_type
 
 __all__ = [
     "DEFAULT_MAX_N",
+    "MAX_PACKED_BITS",
     "TruncatedSeries3",
     "factor_power",
     "hilbert_scheme_diamond",
@@ -85,10 +96,14 @@ __all__ = [
     "surface_diamond",
 ]
 
-# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.04 s and
+# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.02 s and
 # abelian^[30] about 0.055 s (CPython 3.11, one core of a shared x86 host),
 # and the cost grows steeply with n, so a larger limit only invites long runs.
 DEFAULT_MAX_N = 30
+# The one limit on a request's size: the bits of one packed slice, digit
+# width times cells.  K3^[30] packs 133,992 and abelian^[30] 238,144; the
+# largest tables below the limit take about 0.3 s at n = 30 on that host.
+MAX_PACKED_BITS = 1 << 20
 
 Exponents = tuple[int, int, int]
 
@@ -274,21 +289,21 @@ def _digits(value: int, width: int, cells: int) -> list[int]:
     return list(map(int.from_bytes, chunks, repeat("little")))
 
 
-def _t_terms(surface: HodgeDiamond, n: int, base: int,
-             width: int) -> list[list[tuple[int, int]]]:
+def _t_terms(surface: HodgeDiamond, n: int, base: int, width: int,
+             step: int) -> list[list[tuple[int, int]]]:
     """T_0..T_n as (shift by the packed key, coefficient) pairs."""
     classes = list(surface.items())
-    return [[(width * j * (base * p + q), h if j % 2 or (p + q) % 2 == 0 else -h)
+    return [[(width * j * (base * p + q) // step,
+              h if j % 2 or (p + q) % 2 == 0 else -h)
              for p, q, h in classes] for j in range(n + 1)]
 
 
-def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> list[int]:
+def _packed_t_slice(surface: HodgeDiamond, n: int, base: int, step: int,
+                    bits: int, width: int, cells: int) -> list[int]:
     """The coefficients of F_n by packed key, from N F_N = sum_j T_j H_{N,j}."""
-    bits = _digit_bits(sum(map(abs, surface._entries.values())), n)
-    width = 8 * -(-(bits + n.bit_length() + 2) // 8)
-    terms = _t_terms(surface, n, base, width)
-    xy = width * (base + 1)
-    ones = ((1 << width * base * base) - 1) // ((1 << width) - 1)
+    terms = _t_terms(surface, n, base, width, step)
+    xy = width * (base + 1) // step
+    ones = ((1 << width * cells) - 1) // ((1 << width) - 1)
     bias = ones << bits
     high = ones * ((1 << width) - (1 << bits + 1))
     f = [1]
@@ -309,26 +324,27 @@ def _packed_t_slice(surface: HodgeDiamond, n: int, base: int) -> list[int]:
         biased = slice_n + (bias >> xy * 2 * (n - big_n))
         if (remainder or biased < 0 or biased & high
                 or biased.bit_length() > xy * 2 * big_n + width):
-            raise _indivisible(acc, big_n, base, width, bits)
+            raise _indivisible(acc, big_n, base, step, width, bits)
         f.append(slice_n)
     if biased & bias != bias:  # a digit without bit ``bits``: a negative coefficient
-        key, value = next((key, d - (1 << bits)) for key, d in
-                          enumerate(_digits(biased, width, base * base)) if d >> bits == 0)
+        key, value = next((step * cell, d - (1 << bits)) for cell, d in
+                          enumerate(_digits(biased, width, cells)) if d >> bits == 0)
         raise ConsistencyError(f"negative coefficient {value} at x^{key // base} "
                                f"y^{key % base} t^{n} in the Hilbert scheme series")
     del biased  # unpacking F_n sets a call's peak memory; drop this copy first
-    return _digits(f[n], width, base * base)
+    return _digits(f[n], width, cells)
 
 
-def _indivisible(acc: int, big_n: int, base: int, width: int,
+def _indivisible(acc: int, big_n: int, base: int, step: int, width: int,
                  bits: int) -> ConsistencyError:
     """The error for an N F_N that fails the divisibility test."""
-    cells = 2 * big_n * (base + 1) + 1
+    cells = 2 * big_n * (base + 1) // step + 1
     half = 1 << width - 1
     biased = acc + half * (((1 << width * cells) - 1) // ((1 << width) - 1))
     if 0 <= biased < 1 << width * cells:
-        for key, digit in enumerate(_digits(biased, width, cells)):
+        for cell, digit in enumerate(_digits(biased, width, cells)):
             if (digit - half) % big_n:
+                key = step * cell
                 return ConsistencyError(
                     f"coefficient {digit - half} at x^{key // base} y^{key % base} "
                     f"t^{big_n} of t dF/dt is not divisible by {big_n}")
@@ -341,12 +357,15 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
     """Hodge diamond of the Hilbert scheme of n points on a surface.
 
     Computed by the recurrence N F_N = sum_j T_j H_{N,j} of the module
-    docstring, each slice one integer packed by the key (2n+1) a + b.  n
-    may not exceed ``max_n``, by default the limit :data:`DEFAULT_MAX_N`
-    = 30; ``max_n`` can lower that limit but not raise it.  An inexact
-    division by N, a slice beyond its proven coefficient bound, or a
-    negative coefficient in the t^n slice cannot occur for an actual
-    surface diamond and raises :class:`ConsistencyError`.
+    docstring, each slice one integer packed by the key ((2n+1) a + b) /
+    step.  n may not exceed ``max_n``, by default the limit
+    :data:`DEFAULT_MAX_N` = 30; ``max_n`` can lower that limit but not
+    raise it.  A request whose packed slice, digit width times cells,
+    would exceed :data:`MAX_PACKED_BITS` = 2^20 bits raises ``ValueError``
+    before any work.  An inexact division by N, a slice beyond its
+    proven coefficient bound, or a negative coefficient in the t^n slice
+    cannot occur for an actual surface diamond and raises
+    :class:`ConsistencyError`.
 
     >>> hilbert_scheme_diamond(surface_diamond("k3"), 2).h(2, 2)
     232
@@ -365,6 +384,14 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
     if n > max_n:
         raise ValueError(f"n={n} exceeds the limit {max_n}")
     base = 2 * n + 1
-    coefficients = _packed_t_slice(surface, n, base)
-    return HodgeDiamond._trusted(dict(compress(
-        zip(product(range(base), repeat=2), coefficients), coefficients)), 2 * n)
+    step = math.gcd(base + 1, *(base * p + q for p, q in surface._entries))
+    bits = _digit_bits(sum(map(abs, surface._entries.values())), n)
+    width = 8 * -(-(bits + n.bit_length() + 2) // 8)
+    cells = (base * base - 1) // step + 1
+    if width * cells > MAX_PACKED_BITS:
+        raise ValueError(f"the request packs each slice into {width * cells} bits, "
+                         f"beyond the limit {MAX_PACKED_BITS}")
+    coefficients = _packed_t_slice(surface, n, base, step, bits, width, cells)
+    return HodgeDiamond._trusted(dict(compress(zip(
+        map(divmod, range(0, base * base, step), repeat(base)), coefficients),
+        coefficients)), 2 * n)

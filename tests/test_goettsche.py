@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -267,6 +268,37 @@ def test_hilb_cap_enforced():
     assert hilbert_scheme_diamond(k3, 4, max_n=4).complex_dimension == 8
 
 
+def test_hilb_rejects_a_request_beyond_the_packed_size_limit(monkeypatch):
+    # K3-shaped with h^{1,1} = 10^200 at n = 30: digits of 19,832 bits on
+    # 1861 cells, 36.9M bits a slice, 35 times the limit.  The width's
+    # majorant is the only work done; cached, the call takes microseconds.
+    def kernel(*args):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(goettsche, "_packed_t_slice", kernel)
+    huge = HodgeDiamond({(0, 0): 1, (2, 0): 1, (1, 1): 10 ** 200, (0, 2): 1,
+                         (2, 2): 1}, complex_dimension=2)
+    for _ in range(2):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+                f"packs each slice into 36907352 bits, beyond the limit "
+                f"{goettsche.MAX_PACKED_BITS}")):
+            hilbert_scheme_diamond(huge, DEFAULT_MAX_N)
+        assert time.perf_counter() - start < 0.05
+    assert goettsche.MAX_PACKED_BITS == 1 << 20
+
+
+@pytest.mark.parametrize("kind, size", [("k3", 40), ("abelian", 72)])
+def test_hilb_size_limit_counts_the_cells_packed(monkeypatch, kind, size):
+    # At n = 1, K3 packs 5 cells (step 2) and abelian all 9, of 8 bits each.
+    surface = surface_diamond(kind)
+    monkeypatch.setattr(goettsche, "MAX_PACKED_BITS", size)
+    assert hilbert_scheme_diamond(surface, 1) == surface
+    monkeypatch.setattr(goettsche, "MAX_PACKED_BITS", size - 1)
+    with pytest.raises(ValueError, match=f"into {size} bits, beyond the limit {size - 1}"):
+        hilbert_scheme_diamond(surface, 1)
+
+
 @pytest.mark.parametrize("n", [True, 2.0])
 def test_hilb_rejects_non_integer_n(n):
     with pytest.raises(ValueError, match="n must be an integer"):
@@ -338,11 +370,46 @@ def test_hilb_divisibility_guard_names_the_decoded_monomial(monkeypatch):
             hilbert_scheme_diamond(k3, 2)
 
 
-@pytest.mark.parametrize("offset", [1 << 72, -(1 << 72)])
+DIAGONAL = {(0, 0): 1, (1, 1): 3, (2, 2): 1}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({(1, 1): -1}, "negative coefficient -1 at x^1 y^1 t^1"),
+    ({(2, 2): -2}, "negative coefficient -2 at x^2 y^2 t^1"),
+])
+def test_hilb_negativity_guard_decodes_diagonal_cells(changes, message):
+    # A diagonal table packs every 4th key of K3^[1]'s 3 x 3 square
+    # (step 2n + 2 = 4), so cell c is the key 4c.
+    fake = HodgeDiamond._trusted({**DIAGONAL, **changes}, 2)
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        hilbert_scheme_diamond(fake, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hilb_divisibility_guard_decodes_diagonal_cells(monkeypatch, n):
+    # T_2 = 1 + 3 x^2 y^2 + x^4 y^4 on the diagonal table; with 4 in place
+    # of 3, the coefficient (h + 1)(h + 2) = 20 of 2 F_2 at x^2 y^2 becomes
+    # 21.  That is cell 2 of step 2n + 2: key 12 of 5 x 5, 16 of 7 x 7.
+    exact = goettsche._t_terms
+
+    def odd_t2(*args):
+        terms = exact(*args)
+        shift, c = terms[2][1]
+        terms[2][1] = (shift, c + 1)
+        return terms
+
+    monkeypatch.setattr(goettsche, "_t_terms", odd_t2)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "coefficient 21 at x^2 y^2 t^2 of t dF/dt is not divisible by 2")):
+        hilbert_scheme_diamond(HodgeDiamond(DIAGONAL, complex_dimension=2), n)
+
+
+@pytest.mark.parametrize("offset", [1 << 40, -(1 << 40), 1 << 72, -(1 << 72)])
 def test_hilb_rejects_a_slice_beyond_its_last_digit(monkeypatch, offset):
-    # K3^[1] packs 9 cells of w = 8 bits (b = 5), 72 bits in all.  F_1
-    # moved by +-2^72 keeps every one of those digits in range, so only
-    # the sign and length conditions of the whole-integer test reject it.
+    # K3^[1] packs its 5 even cells (step 2) of w = 8 bits (b = 5), 40 bits
+    # in all.  F_1 moved by +-2^40, just past the last digit, or by +-2^72
+    # keeps every one of those digits in range, so only the sign and
+    # length conditions of the whole-integer test reject it.
     exact = goettsche._t_terms
 
     def moved(*args):
@@ -441,6 +508,70 @@ def test_recurrence_matches_product_formula_without_surface_symmetries():
         for m, expected in enumerate(_product_formula_slices(table, n)):
             got = hilbert_scheme_diamond(table, m)
             assert got.entries == expected, (table, m)
+
+
+# ---------------------------------------------------------------------------
+# the lattice of packed keys
+
+
+STEP_TABLES = [
+    # pg = q = 0: every class on the diagonal, step 2n + 2
+    ({(0, 0): 1, (1, 1): 7, (2, 2): 1}, lambda n: 2 * n + 2),
+    # K3-shaped, asymmetric: no odd class, step 2
+    ({(0, 0): 1, (2, 0): 2, (1, 1): 5, (0, 2): 1, (2, 2): 1}, lambda n: 2),
+    # q > 0, asymmetric: an odd class, step 1
+    ({(0, 0): 1, (0, 1): 2, (2, 0): 1, (1, 1): 3, (0, 2): 1, (2, 1): 1,
+      (2, 2): 1}, lambda n: 1),
+]
+
+
+@pytest.mark.parametrize("table, step", STEP_TABLES)
+def test_recurrence_matches_product_formula_on_each_step(monkeypatch, table, step):
+    steps = []
+    kernel = goettsche._packed_t_slice
+
+    def spy(surface, n, base, step, *rest):
+        steps.append(step)
+        return kernel(surface, n, base, step, *rest)
+
+    monkeypatch.setattr(goettsche, "_packed_t_slice", spy)
+    surface = HodgeDiamond(table, complex_dimension=2)
+    for m, expected in enumerate(_product_formula_slices(surface, 5)):
+        assert hilbert_scheme_diamond(surface, m).entries == expected, m
+    assert steps == [step(m) for m in range(6)]
+
+
+def test_diagonal_surface_at_the_largest_n_matches_the_betti_product():
+    # Step 62 packs F_30 on its 61 diagonal cells alone.
+    d = hilbert_scheme_diamond(HodgeDiamond(STEP_TABLES[0][0], complex_dimension=2),
+                               DEFAULT_MAX_N)
+    row = goettsche_betti_row([1, 0, 7, 0, 1], DEFAULT_MAX_N)
+    assert all(p == q for p, q, _ in d.items())
+    assert [d.h(p, p) for p in range(2 * DEFAULT_MAX_N + 1)] == row[::2]
+    assert not any(row[1::2])
+
+
+@st.composite
+def zero_free_surfaces(draw):
+    """Surface tables of each step: the diagonal, the even cells, any cell."""
+    cells = draw(st.sampled_from([
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0), (2, 0), (1, 1), (0, 2), (2, 2)],
+        [(p, q) for p in range(3) for q in range(3)],
+    ]))
+    values = draw(st.lists(st.integers(0, 4), min_size=len(cells),
+                           max_size=len(cells)))
+    table = {cell: h for cell, h in zip(cells, values) if h}
+    return HodgeDiamond(table, complex_dimension=2), draw(st.integers(0, 4))
+
+
+@given(zero_free_surfaces())
+def test_recurrence_matches_product_formula_on_drawn_surfaces(case):
+    # Cells are drawn one by one, so most tables break Hodge symmetry and
+    # Serre duality; the identity of series must hold all the same.
+    surface, n = case
+    for m, expected in enumerate(_product_formula_slices(surface, n)):
+        assert hilbert_scheme_diamond(surface, m).entries == expected, (surface, m)
 
 
 # ---------------------------------------------------------------------------

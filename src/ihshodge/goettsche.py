@@ -53,8 +53,10 @@ x = y = 1 sum to G_m.  G_m does not decrease with m (for s > 0 the
 product has the factor 1/(1 - t)), so each coefficient of F_m, m <= n,
 is at most G_n < 2^b in size, b the bit length of G_n, and each of N F_N
 below n 2^b.  So w = 8 ceil((b + bitlength(n) + 2) / 8) bits hold every
-digit read, with room for a sign; whole bytes let F_n unpack through
-``to_bytes``.
+digit read, with room for a sign.  Whole bytes let F_n unpack in one
+pass: ``to_bytes``, a copy of each digit's bytes into whole 64-bit
+words, one ``struct.unpack``, and a shift per further word of a digit.
+Only the unpack pads a digit; every slice keeps width w.
 
 N F_N must divide by N coefficient by coefficient, and one test on the
 whole integer decides that exactly.  Let F = (N F_N) // N, and V be F
@@ -80,9 +82,11 @@ recurrence against.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Iterator, Mapping
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
+from operator import lshift, mul, or_
 
 from .diamond import ConsistencyError, HodgeDiamond, _Record, _is_int, _wrong_type
 
@@ -276,17 +280,25 @@ def _digit_bits(size: int, n: int) -> int:
             sigma[m] += d
     g = [1]
     for big_n in range(1, n + 1):
-        g.append(size * sum(sigma[m] * g[big_n - m] for m in range(1, big_n + 1))
-                 // big_n)
+        g.append(size * sum(map(mul, sigma[1:big_n + 1], reversed(g))) // big_n)
     return g[n].bit_length()
 
 
-def _digits(value: int, width: int, cells: int) -> list[int]:
-    """The ``cells`` base-2^width digits of ``value`` >= 0."""
+def _digits(value: int, width: int, cells: int) -> tuple[int, ...]:
+    """The ``cells`` base-2^width digits of ``value`` >= 0, in one pass."""
     size = width // 8
-    raw = value.to_bytes(size * cells, byteorder="little")
-    chunks = (raw[i:i + size] for i in range(0, size * cells, size))
-    return list(map(int.from_bytes, chunks, repeat("little")))
+    limbs = -(-size // 8)
+    raw = value.to_bytes(size * cells, "little")
+    slots = bytearray(8 * limbs * cells)
+    for i in range(size):
+        slots[i::8 * limbs] = raw[i::size]
+    del raw  # unpacking F_n sets a call's peak memory: free each buffer early
+    words = struct.unpack(f"<{limbs * cells}Q", slots)
+    del slots
+    digits = words[::limbs]
+    for k in range(1, limbs):
+        digits = map(or_, digits, map(lshift, islice(words, k, None, limbs), repeat(64 * k)))
+    return tuple(digits)
 
 
 def _t_terms(surface: HodgeDiamond, n: int, base: int, width: int,
@@ -311,13 +323,16 @@ def _packed_t_slice(surface: HodgeDiamond, n: int, base: int, step: int,
     for big_n in range(1, n + 1):
         acc = 0
         for j in range(1, big_n + 1):
-            if 2 * j > big_n:
-                h_nj = f[big_n - j]
-            else:
-                h_nj = sum(k * f[big_n - j * k] << xy * j * (k - 1)
-                           for k in range(1, big_n // j + 1))
+            h_nj = f[big_n - j]  # F_{N-j} alone once 2j > N
+            for k in range(2, big_n // j + 1):
+                h_nj += k * f[big_n - j * k] << xy * j * (k - 1)
             for shift, c in terms[j]:
-                acc += (h_nj if c == 1 else c * h_nj) << shift
+                if c == 1:
+                    acc += h_nj << shift
+                elif c == -1:
+                    acc -= h_nj << shift
+                else:
+                    acc += c * h_nj << shift
         slice_n, remainder = divmod(acc, big_n)
         # Each digit of the biased slice lies in [0, 2^(bits+1)) exactly
         # when every coefficient of N F_N divides by N.

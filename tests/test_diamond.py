@@ -148,6 +148,14 @@ def test_equality_distinguishes_dimension():
     assert hash(og6()) == hash(og6())
 
 
+@pytest.mark.parametrize("other", [5, None, "x", K3_ENTRIES], ids=repr)
+def test_equality_with_a_non_table_is_not_implemented(other):
+    # Python then falls back to identity, so == is False and != is True.
+    d = HodgeDiamond(K3_ENTRIES)
+    assert d.__eq__(other) is NotImplemented
+    assert d != other and not d == other
+
+
 def test_json_round_trip():
     for d in (og6(), HodgeDiamond({(1, 1): 5})):
         data = json.loads(json.dumps(d.to_json_dict()))

@@ -605,3 +605,53 @@ def test_every_hodge_number_is_within_the_majorant():
         assert goettsche._digit_bits(size, n) == bound.bit_length()
         d = hilbert_scheme_diamond(surface, n, max_n=n)
         assert max(h for _, _, h in d.items()) <= bound, (surface, n)
+
+
+# ---------------------------------------------------------------------------
+# unpacking a packed slice into its digits
+
+
+DIGIT_WIDTHS = [8, 24, 40, 48, 56, 64, 72, 128, 1568]
+
+
+def _digits_by_cell(value: int, width: int, cells: int) -> tuple[int, ...]:
+    """The reference decode: one ``int.from_bytes`` per cell."""
+    size = width // 8
+    raw = value.to_bytes(size * cells, "little")
+    return tuple(int.from_bytes(raw[i:i + size], "little")
+                 for i in range(0, size * cells, size))
+
+
+def _packed(digits: list[int], width: int) -> int:
+    return sum(d << width * i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("width", DIGIT_WIDTHS)
+def test_digits_match_a_per_cell_decode(width):
+    # Widths below, at and above one 64-bit word and of many words; every
+    # prefix is decoded, so the top cell takes each kind of digit.
+    top = (1 << width) - 1
+    rng = random.Random(width)
+    digits = [0, 1, top, *(rng.getrandbits(width) for _ in range(4)), top, 1, 0]
+    for cells in range(1, len(digits) + 1):
+        value = _packed(digits[:cells], width)
+        assert goettsche._digits(value, width, cells) == \
+            _digits_by_cell(value, width, cells) == tuple(digits[:cells]), cells
+
+
+@st.composite
+def packed_digits(draw):
+    """A width of whole bytes and digits in its range, extremes included."""
+    width = draw(st.sampled_from(DIGIT_WIDTHS) | st.integers(1, 200).map(lambda b: 8 * b))
+    top = (1 << width) - 1
+    digits = draw(st.lists(st.sampled_from([0, 1, top]) | st.integers(0, top),
+                           min_size=1, max_size=12))
+    return width, digits
+
+
+@given(packed_digits())
+def test_digits_match_a_per_cell_decode_on_drawn_values(case):
+    width, digits = case
+    value = _packed(digits, width)
+    assert goettsche._digits(value, width, len(digits)) == \
+        _digits_by_cell(value, width, len(digits)) == tuple(digits)

@@ -441,6 +441,34 @@ def test_corrupted_constants_are_consistency_errors(route, fields):
         route(NamedConstants(**fields))
 
 
+def test_asymmetric_quadric_fails_the_completed_diamond():
+    # h^{2,0} = 1 on the quadric takes one class from (3,1) and none from
+    # (1,3).  With 256 copies that would leave a negative dimension; with
+    # one copy the table stays nonnegative and only _complete can object.
+    quadric = HodgeDiamond({(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1, (2, 0): 1},
+                           complex_dimension=3)
+    message = ("cross-validation mismatch: the named constants admit no derivation: "
+               "the completed table is not a valid 6-fold diamond: "
+               "hodge symmetry broken: h[1,3]=12 != h[3,1]=11; "
+               "hodge symmetry broken: h[2,4]=173 != h[4,2]=172; "
+               "hodge symmetry broken: h[3,5]=11 != h[5,3]=12; "
+               "poincare duality broken: h[2,4]=173 != h[4,2]=172")
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        run_full_pipeline(NamedConstants(two_torsion_count=1, quadric3=quadric))
+
+
+def test_dual_route_rejects_a_wrong_euler_characteristic():
+    # The swap row (0, 0, 1) with the quadric diagonal (0, 1, 0, 0) keeps
+    # b2 = 8, b4 = 199 and b6 = 1504 on the dual route, so only the Euler
+    # test of the cross-validation sees the corruption.
+    quadric = HodgeDiamond({(1, 1): 1}, complex_dimension=3)
+    bad = NamedConstants(incidence_swap_row=(0, 0, 1), quadric3=quadric)
+    with pytest.raises(ConsistencyError, match="^" + re.escape(
+            "cross-validation mismatch: the derived table has Euler "
+            "characteristic 2176, expected 1920") + "$"):
+        og6_via_dual_degrees(bad)
+
+
 def test_corrupted_torsion_count_detected():
     with pytest.raises(ConsistencyError, match="cross-validation"):
         run_full_pipeline(constants=NamedConstants(two_torsion_count=255))

@@ -122,7 +122,7 @@ def _product_formula_slices(surface: HodgeDiamond,
                             n: int) -> list[dict[tuple[int, int], int]]:
     """The t^0..t^n slices of Goettsche's product, multiplied out factor by factor."""
     max_xy = 2 * n
-    series = TruncatedSeries3.one(max_xy, n)
+    series = TruncatedSeries3({(0, 0, 0): 1}, max_xy, n)
     for k in range(1, n + 1):
         for p, q, h in surface.items():
             sign = 1 if (p + q) % 2 else -1

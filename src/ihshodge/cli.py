@@ -31,7 +31,7 @@ import os
 import sys
 
 from .checks import SUITE_NAMES, run_suite
-from .diamond import ConsistencyError, betti, euler_characteristic
+from .diamond import BettiVector, ConsistencyError, HodgeDiamond, betti, euler_characteristic
 from .goettsche import hilbert_scheme_diamond, surface_diamond
 from .pipeline import run_full_pipeline
 from .render import betti_text, chern_text, diamond_latex, diamond_text, trace_text
@@ -66,6 +66,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_text(title: str, diamond: HodgeDiamond, betti_numbers: BettiVector) -> None:
+    """The text report both diamond commands share, up to the Euler line."""
+    print(title)
+    print(diamond_text(diamond))
+    print()
+    print(betti_text(betti_numbers))
+    print(f"Euler characteristic: {euler_characteristic(diamond)}")
+
+
 def _cmd_og6(args: argparse.Namespace) -> int:
     result = run_full_pipeline()
     if args.format == "json":
@@ -81,18 +90,14 @@ def _cmd_og6(args: argparse.Namespace) -> int:
         return 0
     if args.format == "latex":
         print(diamond_latex(result.diamond))
-        print(f"% {betti_text(result.betti_numbers)}")
-        for line in chern_text(result.chern).splitlines():
-            print(f"% {line}")
+        notes = [betti_text(result.betti_numbers), chern_text(result.chern)]
         if args.trace:
-            for line in trace_text(result.trace).splitlines():
-                print(f"% {line}")
+            notes.append(trace_text(result.trace))
+        for line in "\n".join(notes).splitlines():
+            print(f"% {line}")
         return 0
-    print("OG6 Hodge diamond (complex dimension 6):")
-    print(diamond_text(result.diamond))
-    print()
-    print(betti_text(result.betti_numbers))
-    print(f"Euler characteristic: {euler_characteristic(result.diamond)}")
+    _print_text("OG6 Hodge diamond (complex dimension 6):", result.diamond,
+                result.betti_numbers)
     print(chern_text(result.chern))
     if args.trace:
         print()
@@ -108,12 +113,8 @@ def _cmd_hilb(args: argparse.Namespace) -> int:
     if args.format == "latex":
         print(diamond_latex(diamond))
         return 0
-    print(f"{args.surface}^[{args.n}] Hodge diamond "
-          f"(complex dimension {diamond.complex_dimension}):")
-    print(diamond_text(diamond))
-    print()
-    print(betti_text(betti(diamond)))
-    print(f"Euler characteristic: {euler_characteristic(diamond)}")
+    _print_text(f"{args.surface}^[{args.n}] Hodge diamond "
+                f"(complex dimension {diamond.complex_dimension}):", diamond, betti(diamond))
     return 0
 
 

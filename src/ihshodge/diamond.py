@@ -70,6 +70,15 @@ def _wrong_type(cls: type, *values: object) -> ValueError:
     return ValueError(f"expected a {cls.__name__}, got {bad!r}")
 
 
+def _dimension(d: HodgeDiamond, op: str) -> int:
+    """The complex dimension of ``d``; ``op`` names the caller in the error."""
+    if not isinstance(d, HodgeDiamond):
+        raise _wrong_type(HodgeDiamond, d)
+    if d._dim is None:
+        raise ValueError(f"{op} needs a diamond with a complex dimension")
+    return d._dim
+
+
 def _validated_entries(entries: Mapping[Bidegree, int],
                        dim: int | None = None) -> dict[Bidegree, int]:
     table: dict[Bidegree, int] = {}
@@ -254,11 +263,7 @@ def betti(d: HodgeDiamond) -> BettiVector:
     >>> betti(point).b
     (1,)
     """
-    if not isinstance(d, HodgeDiamond):
-        raise _wrong_type(HodgeDiamond, d)
-    n = d.complex_dimension
-    if n is None:
-        raise ValueError("betti needs a diamond with a complex dimension")
+    n = _dimension(d, "betti")
     row = [0] * (2 * n + 1)
     for (p, q), value in d._entries.items():
         row[p + q] += value
@@ -267,11 +272,7 @@ def betti(d: HodgeDiamond) -> BettiVector:
 
 def chi_p(d: HodgeDiamond, p: int) -> int:
     """Hirzebruch characteristic chi^p = sum over q of (-1)^q h^{p,q}."""
-    if not isinstance(d, HodgeDiamond):
-        raise _wrong_type(HodgeDiamond, d)
-    n = d.complex_dimension
-    if n is None:
-        raise ValueError("chi_p needs a diamond with a complex dimension")
+    n = _dimension(d, "chi_p")
     if not _is_int(p) or not 0 <= p <= n:
         raise ValueError(f"p={p!r} out of range for a {n}-fold")
     return sum((-1) ** q * d.h(p, q) for q in range(n + 1))
@@ -475,11 +476,7 @@ def check_diamond(d: HodgeDiamond) -> tuple[str, ...]:
 
     An empty tuple means the diamond passes.
     """
-    if not isinstance(d, HodgeDiamond):
-        raise _wrong_type(HodgeDiamond, d)
-    n = d.complex_dimension
-    if n is None:
-        raise ValueError("check_diamond needs a diamond with a complex dimension")
+    n = _dimension(d, "check_diamond")
     found: list[str] = []
     for p in range(n + 1):
         for q in range(p + 1, n + 1):
@@ -510,19 +507,15 @@ def complete_by_duality(d: HodgeDiamond, n: int) -> HodgeDiamond:
     if not _is_int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     table: dict[Bidegree, int] = {}
-    upper: dict[Bidegree, int] = {}
     for p, q, value in d.items():
         if p > n or q > n:
             raise ValueError(f"entry at ({p},{q}) lies outside the diamond of a {n}-fold")
         if p + q <= n:
             table[(p, q)] = value
-        else:
-            upper[(p, q)] = value
-    for (p, q), value in list(table.items()):
         if p + q < n:
             table[(n - p, n - q)] = value
-    for (p, q), value in upper.items():
-        if table.get((p, q), 0) != value:
+    for p, q, value in d.items():
+        if p + q > n and table.get((p, q), 0) != value:
             raise ValueError(
                 f"duality completion conflict at ({p},{q}): table holds "
                 f"{value}, mirror of ({n - p},{n - q}) gives "

@@ -169,13 +169,6 @@ class TruncatedSeries3(_Record):
         object.__setattr__(s, "_coeffs", coefficients)
         return s
 
-    @classmethod
-    def one(cls, max_xy: int, max_t: int) -> "TruncatedSeries3":
-        return cls({(0, 0, 0): 1}, max_xy, max_t)
-
-    def coefficient(self, a: int, b: int, m: int) -> int:
-        return self._coeffs.get((a, b, m), 0)
-
     def items(self) -> Iterator[tuple[Exponents, int]]:
         yield from sorted(self._coeffs.items())
 
@@ -220,12 +213,15 @@ def factor_power(base_exponents: Exponents, sign: int, exponent: int,
     binomial series and terminates because every power of m exceeds the
     truncation bounds eventually.
     """
-    if sign not in (1, -1):
+    if not _is_int(sign) or sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not _is_int(exponent):
+        raise ValueError(f"exponent must be an integer, got {exponent!r}")
     _check_bounds(max_xy, max_t)
+    if (not isinstance(base_exponents, tuple) or len(base_exponents) != 3
+            or not all(_is_int(c) and c >= 0 for c in base_exponents)):
+        raise ValueError("base exponents must be three nonnegative integers")
     dx, dy, dt = base_exponents
-    if not all(_is_int(c) and c >= 0 for c in base_exponents):
-        raise ValueError("base exponents must be nonnegative integers")
     if not (dx or dy or dt):
         raise ValueError("base monomial must be nonconstant")
     steps = [(dx, max_xy), (dy, max_xy), (dt, max_t)]
@@ -386,7 +382,7 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
     232
     """
     if not isinstance(surface, HodgeDiamond):
-        raise ValueError(f"the surface must be a HodgeDiamond, got {surface!r}")
+        raise _wrong_type(HodgeDiamond, surface)
     if surface.complex_dimension != 2:
         raise ValueError("the input diamond must have complex dimension 2")
     if not _is_int(n):

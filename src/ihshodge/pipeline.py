@@ -51,6 +51,7 @@ from .diamond import (
     ConsistencyError,
     HodgeDiamond,
     _Record,
+    _convolve,
     _is_int,
     _wrong_type,
     betti,
@@ -186,19 +187,15 @@ def _blowup_classes(center: HodgeDiamond, codim: int,
     """The classes that blowing up ``copies`` disjoint copies of a center adds.
 
     At each bidegree (p, q) this is copies * h^{p-k,q-k}(center) summed
-    over k = 1 .. codim-1; a negative ``copies`` blows the centers down.
+    over k = 1 .. codim-1, the tensor product of the center with copies
+    times the classes (k, k); a negative ``copies`` blows the centers down.
     Blowing up a K3 surface at a point adds one class at (1, 1):
 
     >>> point = HodgeDiamond({(0, 0): 1}, complex_dimension=0)
     >>> _blowup_classes(point, 2, 1)
     {(1, 1): 1}
     """
-    out: dict[Bidegree, int] = {}
-    for p, q, value in center.items():
-        for k in range(1, codim):
-            key = (p + k, q + k)
-            out[key] = out.get(key, 0) + copies * value
-    return out
+    return _convolve(center._entries, {(k, k): copies for k in range(1, codim)}, {})
 
 
 def _delta_bar_diamond(constants: NamedConstants) -> HodgeDiamond:

@@ -6,7 +6,7 @@ identical, so the command line tool can be diffed in scripts.
 
 from __future__ import annotations
 
-from .diamond import BettiVector, HodgeDiamond, _wrong_type, weight_sums
+from .diamond import BettiVector, HodgeDiamond, _dimension, _wrong_type, weight_sums
 from .pipeline import ChernReport, TraceStep
 
 __all__ = [
@@ -27,11 +27,7 @@ def _weight_cells(d: HodgeDiamond, weight: int) -> list[tuple[int, int]]:
 
 def diamond_text(d: HodgeDiamond) -> str:
     """Centered triangle of the h^{p,q}, one cohomological weight per row."""
-    if not isinstance(d, HodgeDiamond):
-        raise _wrong_type(HodgeDiamond, d)
-    n = d.complex_dimension
-    if n is None:
-        raise ValueError("text rendering needs a diamond with a dimension")
+    n = _dimension(d, "diamond_text")
     width = max((len(str(v)) for v in d._entries.values()), default=1)
     unit = width + 2
     lines = []
@@ -45,11 +41,7 @@ def diamond_text(d: HodgeDiamond) -> str:
 
 def diamond_latex(d: HodgeDiamond) -> str:
     """Triangular array of the nonzero H^{p,q}, one weight per row."""
-    if not isinstance(d, HodgeDiamond):
-        raise _wrong_type(HodgeDiamond, d)
-    n = d.complex_dimension
-    if n is None:
-        raise ValueError("latex rendering needs a diamond with a dimension")
+    n = _dimension(d, "diamond_latex")
     columns = 2 * n + 1
     lines = [r"\begin{array}{" + "c" * columns + "}"]
     for weight in range(2 * n + 1):

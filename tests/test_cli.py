@@ -334,3 +334,10 @@ RENDERERS = {"diamond_text": "HodgeDiamond", "diamond_latex": "HodgeDiamond",
 def test_render_functions_reject_other_types(name, value):
     with pytest.raises(ValueError, match=f"expected a {RENDERERS[name]}, got"):
         getattr(render, name)(value)
+
+
+@pytest.mark.parametrize("name", ["diamond_text", "diamond_latex"])
+def test_diamond_renderers_need_a_dimension(name):
+    message = f"^{name} needs a diamond with a complex dimension$"
+    with pytest.raises(ValueError, match=message):
+        getattr(render, name)(HodgeDiamond({(0, 0): 1}))

@@ -181,7 +181,7 @@ def test_betti_point():
 
 
 def test_betti_needs_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^betti needs a diamond with a complex dimension$"):
         betti(HodgeDiamond({(0, 0): 1}))
 
 
@@ -196,6 +196,11 @@ def test_chi_p_k3():
     k3 = HodgeDiamond(K3_ENTRIES, complex_dimension=2)
     assert chi_p(k3, 0) == 2
     assert chi_p(k3, 1) == -20
+
+
+def test_chi_p_needs_dimension():
+    with pytest.raises(ValueError, match="^chi_p needs a diamond with a complex dimension$"):
+        chi_p(HodgeDiamond({(0, 0): 1}), 0)
 
 
 def test_chi_p_range_checked():
@@ -537,7 +542,8 @@ def test_check_diamond_reports_duality_violation():
 
 
 def test_check_diamond_needs_dimension():
-    with pytest.raises(ValueError):
+    message = "^check_diamond needs a diamond with a complex dimension$"
+    with pytest.raises(ValueError, match=message):
         check_diamond(HodgeDiamond({(0, 0): 1}))
 
 

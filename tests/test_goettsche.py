@@ -60,15 +60,14 @@ K3_HILB3 = {
 
 
 def test_one_is_multiplicative_unit():
-    one = TruncatedSeries3.one(4, 2)
+    one = TruncatedSeries3({(0, 0, 0): 1}, 4, 2)
     f = TruncatedSeries3({(1, 0, 1): 3, (0, 2, 2): -5}, 4, 2)
     assert series_mul(one, f) == f == series_mul(f, one)
 
 
 def test_out_of_bound_monomials_dropped():
-    f = TruncatedSeries3({(5, 0, 0): 7, (1, 1, 1): 2}, 4, 2)
-    assert f.coefficient(5, 0, 0) == 0
-    assert f.coefficient(1, 1, 1) == 2
+    f = TruncatedSeries3({(5, 0, 0): 7, (1, 1, 1): 2, (0, 0, 3): 4}, 4, 2)
+    assert dict(f.items()) == {(1, 1, 1): 2}
 
 
 def test_negative_exponents_rejected():
@@ -77,10 +76,10 @@ def test_negative_exponents_rejected():
 
 
 def test_bound_mismatch_rejected():
-    a = TruncatedSeries3.one(4, 2)
-    for b in (TruncatedSeries3.one(4, 3), TruncatedSeries3.one(3, 2)):
+    a = TruncatedSeries3({(0, 0, 0): 1}, 4, 2)
+    for bounds in ((4, 3), (3, 2)):
         with pytest.raises(ValueError):
-            series_mul(a, b)
+            series_mul(a, TruncatedSeries3({(0, 0, 0): 1}, *bounds))
 
 
 def test_bool_is_not_an_integer():
@@ -91,7 +90,7 @@ def test_bool_is_not_an_integer():
     with pytest.raises(ValueError):
         TruncatedSeries3({}, True, 2)
     with pytest.raises(ValueError):
-        TruncatedSeries3.one(4, False)
+        TruncatedSeries3({(0, 0, 0): 1}, 4, False)
 
 
 def test_difference_of_squares():
@@ -153,7 +152,7 @@ def test_product_laws(ca, cb, cc):
 def test_series_results_own_zero_free_dicts(ca, cb, base, sign, exponent):
     a = TruncatedSeries3(ca, 3, 2)
     b = TruncatedSeries3(cb, 3, 2)
-    one = TruncatedSeries3.one(3, 2)
+    one = TruncatedSeries3({(0, 0, 0): 1}, 3, 2)
     results = [series_mul(a, b), series_mul(a, a), series_mul(a, one)]
     if any(base):
         power = factor_power(base, sign, exponent, 3, 2)
@@ -183,13 +182,12 @@ def test_factor_power_positive_square():
 
 def test_factor_power_negative_binomial():
     f = factor_power((1, 1, 1), -1, -20, 4, 2)
-    assert f.coefficient(1, 1, 1) == 20
-    assert f.coefficient(2, 2, 2) == 210
+    assert dict(f.items()) == {(0, 0, 0): 1, (1, 1, 1): 20, (2, 2, 2): 210}
 
 
 def test_factor_power_alternating_signs():
     f = factor_power((1, 0, 1), 1, -2, 6, 6)
-    assert f.coefficient(3, 0, 3) == -4
+    assert dict(f.items()) == {(j, 0, j): (-1) ** j * (j + 1) for j in range(7)}
 
 
 def test_factor_power_validates_input():
@@ -203,6 +201,15 @@ def test_factor_power_validates_input():
         factor_power((1, 0, 1), 1, 2, 4, -1)
     with pytest.raises(ValueError):
         factor_power((1, -1, 1), 1, 2, 4, 4)
+
+
+@pytest.mark.parametrize("position", range(5))
+@pytest.mark.parametrize("bad", [None, "x", 2.5, True, [1, 0, 1], (1,)], ids=repr)
+def test_factor_power_rejects_each_bad_argument(position, bad):
+    args = [(1, 0, 1), 1, 2, 4, 4]  # a valid call, with one argument replaced
+    args[position] = bad
+    with pytest.raises(ValueError):
+        factor_power(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +319,8 @@ def test_hilb_rejects_bad_max_n(max_n):
 
 
 def test_hilb_rejects_a_plain_table():
-    with pytest.raises(ValueError, match="must be a HodgeDiamond"):
+    message = "expected a HodgeDiamond, got {(0, 0): 1}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         hilbert_scheme_diamond({(0, 0): 1}, 2)
 
 

@@ -28,6 +28,7 @@ from ihshodge.pipeline import (
     TraceStep,
     _apply_corrections,
     _blowup_classes,
+    _cross_validate,
     _delta_bar_diamond,
     _dual_degree_table,
     chern_numbers,
@@ -499,6 +500,17 @@ def test_perturbed_b2_detected():
     for b2 in (2, 25):
         with pytest.raises(ConsistencyError, match="cross-validation.*b2"):
             og6_via_dual_degrees(NamedConstants(b2=b2))
+
+
+def test_cross_validation_catches_a_salamon_violation():
+    # b0 = b12 = 2 and b1 = b11 = 1 keep b2, b4, b6 and chi = 1920, but
+    # leave a Salamon residual of 66
+    table = HodgeDiamond({**OG6_ENTRIES, (0, 0): 2, (6, 6): 2, (1, 0): 1, (5, 6): 1},
+                         complex_dimension=6)
+    assert euler_characteristic(table) == 1920
+    assert salamon_residual(betti(table)) == 66
+    with pytest.raises(ConsistencyError, match="violates the Salamon constraint"):
+        _cross_validate(table, NamedConstants())
 
 
 def test_euler_bookkeeping_gap():

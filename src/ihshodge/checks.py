@@ -4,12 +4,18 @@ Each suite is a list of cheap, deterministic self-checks that exercise
 one slice of the package against an independent route to the same
 numbers.  Every check compares one computed value with its expected
 value; a failing check's detail reads ``got <computed!r>, expected
-<expected!r>``, and the command line tool prints one line per check.
+<expected!r>``, or ``raised <Type>: <message>`` when computing the value
+raised, and the command line tool prints one line per check.  A check
+computes its value inside :func:`_check`, so one raise fails only the
+checks that need the value that raised; a check that compares two
+computed routes computes both in one call and expects ``True``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from collections.abc import Callable
 
 from .diamond import (
     BettiVector,
@@ -55,15 +61,26 @@ class CheckResult(_Record):
     __slots__ = ("name", "ok", "detail")
 
 
-def _check(name: str, computed: object, expected: object) -> CheckResult:
-    """Pass when ``computed == expected``; the detail is built only on failure."""
-    if computed == expected:
-        return CheckResult(name, True, "")
+def _check(name: str, compute: Callable[[], object], expected: object) -> CheckResult:
+    """Pass when ``compute() == expected``; the detail is built only on failure.
+
+    An exception from ``compute`` fails this check alone, with its type and
+    message.
+    """
+    try:
+        computed = compute()
+        if computed == expected:
+            return CheckResult(name, True, "")
+    except Exception as exc:
+        return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
     return CheckResult(name, False, f"got {computed!r}, expected {expected!r}")
 
 
 class _HilbertSchemes(dict):
-    """K3^[n] and abelian^[n] by (kind, n), each built once per suite run."""
+    """K3^[n] and abelian^[n] by (kind, n), each built once per suite run.
+
+    A build that raises is not stored, so every check that needs it fails.
+    """
 
     def __missing__(self, key: tuple[str, int]) -> HodgeDiamond:
         kind, n = key
@@ -79,20 +96,19 @@ _OG6_BETTI = BettiVector(6, (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1))
 
 
 def _suite_salamon(hilb: _HilbertSchemes) -> list[CheckResult]:
-    undetected = [
-        (k, delta) for k in range(0, 7, 2) for delta in (1, -1)
-        if salamon_residual(BettiVector(6, tuple(
-            [b + delta * (i == k) for i, b in enumerate(_OG6_BETTI.b)]))) == 0]
     return [
         _check("salamon: OG6 Betti row satisfies the constraint",
-               salamon_residual(_OG6_BETTI), 0),
+               lambda: salamon_residual(_OG6_BETTI), 0),
         *(_check(f"salamon: K3^[{n}] Betti row satisfies the constraint",
-                 salamon_residual(betti(hilb["k3", n])), 0)
+                 lambda n=n: salamon_residual(betti(hilb["k3", n])), 0)
           for n in (2, 3)),
         _check("salamon: every even single-entry perturbation is detected",
-               undetected, []),
+               lambda: [(k, delta) for k in range(0, 7, 2) for delta in (1, -1)
+                        if salamon_residual(BettiVector(6, tuple(
+                            [b + delta * (i == k) for i, b in enumerate(_OG6_BETTI.b)])))
+                        == 0], []),
         _check("salamon: pipeline output matches the OG6 Betti row",
-               run_full_pipeline().betti_numbers, _OG6_BETTI),
+               lambda: run_full_pipeline().betti_numbers, _OG6_BETTI),
     ]
 
 
@@ -101,16 +117,16 @@ def _suite_salamon(hilb: _HilbertSchemes) -> list[CheckResult]:
 
 
 def _suite_duality(hilb: _HilbertSchemes) -> list[CheckResult]:
-    result = run_full_pipeline()
-    khat = next(step.output for step in result.trace if step.lemma == "Kt-and-Ktt(2)")
     return [
         _check("duality: OG6 diamond passes symmetry and duality",
-               check_diamond(result.diamond), ()),
+               lambda: check_diamond(run_full_pipeline().diamond), ()),
         _check("duality: correction chain at dual degrees agrees",
-               og6_via_dual_degrees(), result.diamond),
+               lambda: og6_via_dual_degrees() == run_full_pipeline().diamond, True),
         _check("duality: Euler bookkeeping of the quadric removal",
-               euler_characteristic(complete_by_duality(khat, 6))
-               - euler_characteristic(result.diamond), 2 * (256 + 512) + 512),
+               lambda: euler_characteristic(complete_by_duality(next(
+                   step.output for step in run_full_pipeline().trace
+                   if step.lemma == "Kt-and-Ktt(2)"), 6))
+               - euler_characteristic(run_full_pipeline().diamond), 2 * (256 + 512) + 512),
     ]
 
 
@@ -133,38 +149,39 @@ def _product_formula_slices(surface: HodgeDiamond,
 
 
 def _suite_goettsche(hilb: _HilbertSchemes) -> list[CheckResult]:
-    three = hilb["k3", 3]
-    h2 = HodgeDiamond({(p, q): v for p, q, v in three.items() if p + q == 2})
-    chern = chern_numbers(three)
+    chern = functools.cache(lambda: chern_numbers(hilb["k3", 3]))
     return [
         _check("goettsche: recurrence matches the product formula",
-               [(kind, m) for kind, n in (("k3", 3), ("abelian", 2))
-                for m, entries in enumerate(
-                    _product_formula_slices(surface_diamond(kind), n))
-                if hilb[kind, m].entries != entries], []),
+               lambda: [(kind, m) for kind, n in (("k3", 3), ("abelian", 2))
+                        for m, entries in enumerate(
+                            _product_formula_slices(surface_diamond(kind), n))
+                        if hilb[kind, m].entries != entries], []),
         _check("goettsche: zero points give a point",
-               hilb["k3", 0], HodgeDiamond({(0, 0): 1}, complex_dimension=0)),
+               lambda: hilb["k3", 0], HodgeDiamond({(0, 0): 1}, complex_dimension=0)),
         *(_check(f"goettsche: one point on {kind} gives the surface",
-                 hilb[kind, 1], surface_diamond(kind))
+                 lambda kind=kind: hilb[kind, 1], surface_diamond(kind))
           for kind in ("k3", "abelian")),
         _check("goettsche: K3^[2] Betti numbers",
-               betti(hilb["k3", 2]).b, (1, 0, 23, 0, 276, 0, 23, 0, 1)),
+               lambda: betti(hilb["k3", 2]).b, (1, 0, 23, 0, 276, 0, 23, 0, 1)),
         _check("goettsche: K3^[3] equals its own Markman assembly",
-               markman_assembly(h2), three),
+               lambda: markman_assembly(HodgeDiamond(
+                   {(p, q): v for p, q, v in hilb["k3", 3].items() if p + q == 2}))
+               == hilb["k3", 3], True),
         _check("goettsche: K3^[3] Euler characteristic",
-               euler_characteristic(three), 3200),
+               lambda: euler_characteristic(hilb["k3", 3]), 3200),
         _check("goettsche: abelian Hilbert schemes have Euler number 0",
-               [euler_characteristic(hilb["abelian", n]) for n in (1, 2, 3)],
+               lambda: [euler_characteristic(hilb["abelian", n]) for n in (1, 2, 3)],
                [0, 0, 0]),
         _check("goettsche: OG6 and K3^[0..3] have h^{p,0} = 1 for even p, 0 for odd p",
-               [[d.h(p, 0) for p in range(d.complex_dimension + 1)]
-                for d in (run_full_pipeline().diamond, *(hilb["k3", n] for n in range(4)))],
+               lambda: [[d.h(p, 0) for p in range(d.complex_dimension + 1)]
+                        for d in (run_full_pipeline().diamond,
+                                  *(hilb["k3", n] for n in range(4)))],
                [[1 - p % 2 for p in range(dim + 1)] for dim in (6, 0, 2, 4, 6)]),
         _check("goettsche: OG6 and K3^[3] have Todd genus 4",
-               [10 * c.c2_cubed - 9 * c.c2_c4 + 2 * c.c6
-                for c in (run_full_pipeline().chern, chern)], [241920, 241920]),
+               lambda: [10 * c.c2_cubed - 9 * c.c2_c4 + 2 * c.c6
+                        for c in (run_full_pipeline().chern, chern())], [241920, 241920]),
         _check("goettsche: K3^[3] Chern numbers c2^3, c2c4, c6",
-               (chern.c2_cubed, chern.c2_c4, chern.c6), (36800, 14720, 3200)),
+               lambda: (chern().c2_cubed, chern().c2_c4, chern().c6), (36800, 14720, 3200)),
     ]
 
 
@@ -184,7 +201,8 @@ def _random_equivariant(rng: random.Random) -> EquivariantDiamond:
     return EquivariantDiamond(table)
 
 
-def _suite_equivariant(hilb: _HilbertSchemes) -> list[CheckResult]:
+def _forget_failures() -> list:
+    """The first seeded table whose power or tensor forgets to the wrong plain table."""
     rng = random.Random(64001)
     failures = []
     for i in range(200):
@@ -198,25 +216,29 @@ def _suite_equivariant(hilb: _HilbertSchemes) -> list[CheckResult]:
             failures.append(("ext", k, a))
         if forget(eq_tensor(a, b)) != tensor(plain, forget(b)):
             failures.append(("tensor", k, (a, b)))
-    h2 = derive_invariant_h2(8)
-    weight4 = markman_equivariant(h2, 4)
+    return failures[:1]
+
+
+def _suite_equivariant(hilb: _HilbertSchemes) -> list[CheckResult]:
+    h2 = functools.cache(lambda: derive_invariant_h2(8))
+    weight4 = functools.cache(lambda: markman_equivariant(h2(), 4))
     splits = [(plus, minus) for plus in range(9) for minus in range(9 - plus)]
     return [
         _check("equivariant: forgetting commutes on 200 random tables",
-               failures[:1], []),
+               _forget_failures, []),
         _check("equivariant: invariant weight 4 row is (1, 6, 157)",
-               invariant_part(weight4).entries,
+               lambda: invariant_part(weight4()).entries,
                {(4, 0): 1, (3, 1): 6, (2, 2): 157, (1, 3): 6, (0, 4): 1}),
         _check("equivariant: invariant weight 6 row is (1, 5, 157, 852)",
-               invariant_part(markman_equivariant(h2, 6)).entries,
+               lambda: invariant_part(markman_equivariant(h2(), 6)).entries,
                {(6, 0): 1, (5, 1): 5, (4, 2): 157, (3, 3): 852,
                 (2, 4): 157, (1, 5): 5, (0, 6): 1}),
         _check("equivariant: weight 4 total matches Sym^2 + twist",
-               forget(weight4).total_dimension(), 276 + 23),
+               lambda: forget(weight4()).total_dimension(), 276 + 23),
         _check("equivariant: Sym^2 + Lambda^2 dimensions square",
-               [sum(eq_sym_power(piece, 2).pair(2, 2))
-                + sum(eq_ext_power(piece, 2).pair(2, 2))
-                for piece in (EquivariantDiamond({(1, 1): split}) for split in splits)],
+               lambda: [sum(eq_sym_power(piece, 2).pair(2, 2))
+                        + sum(eq_ext_power(piece, 2).pair(2, 2))
+                        for piece in (EquivariantDiamond({(1, 1): split}) for split in splits)],
                [sum(split) ** 2 for split in splits]),
     ]
 

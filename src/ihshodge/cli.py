@@ -12,8 +12,9 @@ Three subcommands:
   :data:`~ihshodge.goettsche.MAX_PACKED_BITS` = 2^20 bits; K3^[30]
   packs 133,992 and abelian^[30] 238,144.
 * ``check``: run a named invariant suite and report each check, as
-  ``ok   <name>`` or ``FAIL <name>: got <computed!r>, expected
-  <expected!r>``, then ``k/m checks passed``.
+  ``ok   <name>``, ``FAIL <name>: got <computed!r>, expected
+  <expected!r>`` or, when computing the value raised, ``FAIL <name>:
+  raised <Type>: <message>``; then ``k/m checks passed``.
 
 Exit codes: 0 on success, 1 when an internal invariant is violated
 (including failing checks), 2 on bad input, 141 when the reader of
@@ -147,7 +148,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

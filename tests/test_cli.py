@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ihshodge import checks, cli, render
-from ihshodge.diamond import HodgeDiamond
+from ihshodge.diamond import ConsistencyError, HodgeDiamond
 from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
 from ihshodge.pipeline import NamedConstants, run_full_pipeline
 
@@ -150,11 +151,13 @@ def test_hilb_text_output():
     assert "Euler characteristic: 324" in proc.stdout
 
 
-def test_hilb_latex_output():
-    proc = run_cli("hilb", "--n", "2", "--format", "latex")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("\\begin{array}")
-    assert "232" in proc.stdout
+def test_hilb_latex_output(capsys):
+    assert cli.main(["hilb", "--n", "2", "--format", "latex"]) == 0
+    diamond = hilbert_scheme_diamond(surface_diamond("k3"), 2)
+    out = capsys.readouterr().out
+    assert out == render.diamond_latex(diamond) + "\n"
+    assert out.startswith("\\begin{array}")
+    assert "232" in out
 
 
 def test_hilb_abelian_surface():
@@ -172,11 +175,13 @@ def test_hilb_cap():
     assert run_cli("hilb", "--n", "-1").returncode == 2
 
 
-def test_hilb_limit_is_thirty():
-    assert run_cli("hilb", "--n", "6").returncode == 0
-    over = run_cli("hilb", "--n", "31")
-    assert over.returncode == 2
-    assert "n=31 exceeds the limit 30" in over.stderr
+def test_hilb_limit_is_thirty(capsys):
+    assert cli.main(["hilb", "--n", "6"]) == 0
+    capsys.readouterr()
+    assert cli.main(["hilb", "--n", "31"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: n=31 exceeds the limit 30\n"
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +242,79 @@ def test_a_failing_check_prints_its_table_in_lexicographic_order(monkeypatch, ca
             in capsys.readouterr().out.splitlines())
 
 
+@pytest.mark.parametrize("name, route", [
+    ("og6_via_dual_degrees", "duality: correction chain at dual degrees agrees"),
+    ("markman_assembly", "goettsche: K3^[3] equals its own Markman assembly"),
+])
+def test_two_routes_that_disagree_fail_their_check_alone(monkeypatch, capsys, name, route):
+    operation = getattr(checks, name)
+
+    def shifted(*args):
+        d = operation(*args)
+        return HodgeDiamond({**d.entries, (1, 1): d.h(1, 1) + 1},
+                            complex_dimension=d.complex_dimension)
+
+    monkeypatch.setattr(checks, name, shifted)
+    assert cli.main(["check", "--suite", "all"]) == 1
+    passing = (GOLDEN / "check_all.txt").read_text(encoding="utf-8").splitlines()[:-1]
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL {route}: got False, expected True" if line == f"ok   {route}" else line
+        for line in passing
+    ] + ["23/24 checks passed"]
+
+
+# the lines of ``check --suite all`` that need each shared value
+OG6_LINES = {
+    "salamon: pipeline output matches the OG6 Betti row",
+    "duality: OG6 diamond passes symmetry and duality",
+    "duality: correction chain at dual degrees agrees",
+    "duality: Euler bookkeeping of the quadric removal",
+    "goettsche: OG6 and K3^[0..3] have h^{p,0} = 1 for even p, 0 for odd p",
+    "goettsche: OG6 and K3^[3] have Todd genus 4",
+}
+K3_3_LINES = {
+    "salamon: K3^[3] Betti row satisfies the constraint",
+    "goettsche: recurrence matches the product formula",
+    "goettsche: K3^[3] equals its own Markman assembly",
+    "goettsche: K3^[3] Euler characteristic",
+    "goettsche: OG6 and K3^[0..3] have h^{p,0} = 1 for even p, 0 for odd p",
+    "goettsche: OG6 and K3^[3] have Todd genus 4",
+    "goettsche: K3^[3] Chern numbers c2^3, c2c4, c6",
+}
+WEIGHT_4_LINES = {
+    "equivariant: invariant weight 4 row is (1, 6, 157)",
+    "equivariant: weight 4 total matches Sym^2 + twist",
+}
+
+
+def raising_on(operation, *args):
+    """``operation``, except that it raises for exactly these arguments."""
+    def faulty(*called):
+        if called == args:
+            raise ConsistencyError("injected fault")
+        return operation(*called)
+    return faulty
+
+
+@pytest.mark.parametrize("name, args, failing", [
+    ("run_full_pipeline", (), OG6_LINES),
+    ("hilbert_scheme_diamond", (surface_diamond("k3"), 3), K3_3_LINES),
+    ("markman_equivariant", (checks.derive_invariant_h2(8), 4), WEIGHT_4_LINES),
+], ids=["pipeline", "k3-n3", "weight4"])
+def test_a_raise_fails_every_check_that_needs_the_value_and_no_other(
+        monkeypatch, capsys, name, args, failing):
+    monkeypatch.setattr(checks, name, raising_on(getattr(checks, name), *args))
+    assert cli.main(["check", "--suite", "all"]) == 1
+    passing = (GOLDEN / "check_all.txt").read_text(encoding="utf-8").splitlines()[:-1]
+    assert {f"ok   {check}" for check in failing} <= set(passing)
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"FAIL {line[5:]}: raised ConsistencyError: injected fault"
+        if line[5:] in failing else line for line in passing
+    ] + [f"{24 - len(failing)}/24 checks passed"]
+    assert captured.err == ""
+
+
 def test_check_all_derives_each_markman_table_once(monkeypatch):
     calls = {}
 
@@ -292,6 +370,15 @@ def test_all_runs_every_suite_in_order():
 def test_missing_subcommand_is_a_usage_error():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ihshodge", "og6", "--format", "latex", "--trace"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("ihshodge", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.encode("utf-8") == \
+        (GOLDEN / "og6_latex_trace.tex").read_bytes()
 
 
 # ---------------------------------------------------------------------------

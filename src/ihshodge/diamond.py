@@ -366,25 +366,32 @@ def _graded_powers(d: HodgeDiamond, k: int, exterior: bool, op: str,
     are convolved in.  An odd total degree raises, naming the first one in
     ``d`` and ``rest``.  An empty ``d`` gives {(0, 0): 1}, then k empty tables.
     """
-    if not _is_int(k) or k < 0:
+    if not (type(k) is int or _is_int(k)) or k < 0:
         raise ValueError("power index must be a nonnegative integer")
     acc: list[dict[Bidegree, int]] = [{(0, 0): 1}] + [{} for _ in range(k)]
-    for i, ((p, q), m) in enumerate(d._entries.items()):
+    seeded = False
+    for (p, q), m in d._entries.items():
         if (p + q) % 2:
             p, q = min(key for t in (d, *rest) for key in t._entries if sum(key) % 2)
             raise ValueError(f"{op} needs even total degrees only; "
                              f"found an entry at ({p},{q})")
-        powers, bd = [], 1
-        for j in range(1, (m if exterior and m < k else k) + 1):
-            bd = bd * (m - j + 1 if exterior else m + j - 1) // j
-            if i:
-                powers.append((j, j * p, j * q, bd))
-            else:  # the first piece seeds each table
+        top, bd = (m if exterior and m < k else k), 1
+        if not seeded:  # the first piece seeds each table
+            seeded = True
+            for j in range(1, top + 1):
+                bd = bd * (m - j + 1 if exterior else m + j - 1) // j
                 acc[j][(j * p, j * q)] = bd
+            continue
+        powers = []
+        for j in range(1, top + 1):
+            bd = bd * (m - j + 1 if exterior else m + j - 1) // j
+            powers.append((j, j * p, j * q, bd))
         # later pieces fill from the top: acc[total - j] does not hold this one yet
-        for total in range(k if i else 0, 0, -1):
+        for total in range(k, 0, -1):
             tgt = acc[total]
-            for j, jp, jq, bd in powers[:total]:
+            for j, jp, jq, bd in powers:
+                if j > total:
+                    break
                 for (ap, aq), av in acc[total - j].items():
                     key = (ap + jp, aq + jq)
                     tgt[key] = tgt.get(key, 0) + av * bd

@@ -100,13 +100,13 @@ __all__ = [
     "surface_diamond",
 ]
 
-# The one limit on n for Hilbert schemes.  K3^[30] takes about 0.02 s and
-# abelian^[30] about 0.055 s (CPython 3.11, one core of a shared x86 host),
-# and the cost grows steeply with n, so a larger limit only invites long runs.
+# The one limit on n for Hilbert schemes.  K3^[30] takes about 15 ms and
+# abelian^[30] about 45 ms (best of 7, CPython 3.11.7, one core of a shared
+# x86 host); the cost grows steeply with n, so a larger limit invites long runs.
 DEFAULT_MAX_N = 30
 # The one limit on a request's size: the bits of one packed slice, digit
 # width times cells.  K3^[30] packs 133,992 and abelian^[30] 238,144; the
-# largest tables below the limit take about 0.3 s at n = 30 on that host.
+# largest tables below it (abelian, h^{1,1} = 2^11) take 0.16 s at n = 30 on that host.
 MAX_PACKED_BITS = 1 << 20
 
 Exponents = tuple[int, int, int]

@@ -1,4 +1,5 @@
-"""End-to-end runs of the installed command line interface."""
+"""The command line interface: in-process through ``cli.main``, and as
+``python -m ihshodge`` children where the process itself is under test."""
 
 from __future__ import annotations
 
@@ -25,6 +26,16 @@ def run_cli(*argv: str):
                           capture_output=True, text=True)
 
 
+def run_main(capsys, *argv: str) -> subprocess.CompletedProcess:
+    """``cli.main(argv)`` in this process, read back as ``run_cli`` reads a child."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as usage_error:  # argparse exits 2 and writes to stderr
+        code = usage_error.code
+    captured = capsys.readouterr()
+    return subprocess.CompletedProcess(argv, code, captured.out, captured.err)
+
+
 def rebuilt(payload: dict) -> HodgeDiamond:
     """The diamond whose ``to_json_dict`` is ``payload``, through the constructor."""
     return HodgeDiamond({(p, q): v for p, q, v in payload["entries"]},
@@ -35,8 +46,8 @@ def rebuilt(payload: dict) -> HodgeDiamond:
 # og6
 
 
-def test_og6_json_payload():
-    proc = run_cli("og6", "--format", "json")
+def test_og6_json_payload(capsys):
+    proc = run_main(capsys, "og6", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert set(payload) == {"diamond", "betti", "chern"}
@@ -50,15 +61,15 @@ def test_og6_json_payload():
     assert rebuilt(payload["diamond"]) == diamond
 
 
-def test_og6_json_trace():
-    proc = run_cli("og6", "--format", "json", "--trace")
+def test_og6_json_trace(capsys):
+    proc = run_main(capsys, "og6", "--format", "json", "--trace")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert [entry["lemma"] for entry in payload["trace"]] == list(STAGES)
 
 
-def test_og6_text_output():
-    proc = run_cli("og6")
+def test_og6_text_output(capsys):
+    proc = run_main(capsys, "og6")
     assert proc.returncode == 0, proc.stderr
     assert "OG6 Hodge diamond" in proc.stdout
     assert "Betti numbers: 1 0 8 0 199 0 1504 0 199 0 8 0 1" in proc.stdout
@@ -68,16 +79,16 @@ def test_og6_text_output():
     assert "Derivation trace:" not in proc.stdout
 
 
-def test_og6_text_trace():
-    proc = run_cli("og6", "--trace")
+def test_og6_text_trace(capsys):
+    proc = run_main(capsys, "og6", "--trace")
     assert proc.returncode == 0, proc.stderr
     assert "Derivation trace:" in proc.stdout
     for tag in STAGES:
         assert tag in proc.stdout
 
 
-def test_og6_latex_output():
-    proc = run_cli("og6", "--format", "latex", "--trace")
+def test_og6_latex_output(capsys):
+    proc = run_main(capsys, "og6", "--format", "latex", "--trace")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("\\begin{array}")
     assert "1144" in proc.stdout
@@ -86,17 +97,17 @@ def test_og6_latex_output():
     assert "% Derivation trace:" in proc.stdout
 
 
-def test_og6_rejects_impossible_euler_characteristic():
+def test_og6_rejects_impossible_euler_characteristic(capsys):
     # b2 and chi are named constants of the derivation, not options, so
     # any attempt to pass them is a usage error.
-    proc = run_cli("og6", "--b2", "8", "--chi", "1921")
+    proc = run_main(capsys, "og6", "--b2", "8", "--chi", "1921")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert proc.stdout == ""
 
 
-def test_og6_rejects_bad_b2():
-    proc = run_cli("og6", "--b2", "2")
+def test_og6_rejects_bad_b2(capsys):
+    proc = run_main(capsys, "og6", "--b2", "2")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
 
@@ -134,8 +145,8 @@ def test_og6_output_is_byte_deterministic():
 # hilb
 
 
-def test_hilb_json_round_trip():
-    proc = run_cli("hilb", "--n", "2", "--format", "json")
+def test_hilb_json_round_trip(capsys):
+    proc = run_main(capsys, "hilb", "--n", "2", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     diamond = hilbert_scheme_diamond(surface_diamond("k3"), 2)
     payload = json.loads(proc.stdout)
@@ -143,8 +154,8 @@ def test_hilb_json_round_trip():
     assert rebuilt(payload) == diamond
 
 
-def test_hilb_text_output():
-    proc = run_cli("hilb", "--n", "2")
+def test_hilb_text_output(capsys):
+    proc = run_main(capsys, "hilb", "--n", "2")
     assert proc.returncode == 0, proc.stderr
     assert "k3^[2] Hodge diamond" in proc.stdout
     assert "232" in proc.stdout
@@ -160,9 +171,9 @@ def test_hilb_latex_output(capsys):
     assert "232" in out
 
 
-def test_hilb_abelian_surface():
-    proc = run_cli("hilb", "--n", "2", "--surface", "abelian",
-                   "--format", "json")
+def test_hilb_abelian_surface(capsys):
+    proc = run_main(capsys, "hilb", "--n", "2", "--surface", "abelian",
+                    "--format", "json")
     assert proc.returncode == 0, proc.stderr
     diamond = hilbert_scheme_diamond(surface_diamond("abelian"), 2)
     payload = json.loads(proc.stdout)
@@ -170,9 +181,9 @@ def test_hilb_abelian_surface():
     assert rebuilt(payload) == diamond
 
 
-def test_hilb_cap():
-    assert run_cli("hilb", "--n", "99").returncode == 2
-    assert run_cli("hilb", "--n", "-1").returncode == 2
+def test_hilb_cap(capsys):
+    assert run_main(capsys, "hilb", "--n", "99").returncode == 2
+    assert run_main(capsys, "hilb", "--n", "-1").returncode == 2
 
 
 def test_hilb_limit_is_thirty(capsys):
@@ -188,16 +199,16 @@ def test_hilb_limit_is_thirty(capsys):
 # check
 
 
-def test_check_single_suite():
-    proc = run_cli("check", "--suite", "salamon")
+def test_check_single_suite(capsys):
+    proc = run_main(capsys, "check", "--suite", "salamon")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "ok   " in proc.stdout
     assert "FAIL" not in proc.stdout
     assert proc.stdout.rstrip().endswith("checks passed")
 
 
-def test_check_all_suites():
-    proc = run_cli("check", "--suite", "all")
+def test_check_all_suites(capsys):
+    proc = run_main(capsys, "check", "--suite", "all")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     summary = proc.stdout.rstrip().splitlines()[-1]
     passed, total = summary.split()[0].split("/")
@@ -205,8 +216,8 @@ def test_check_all_suites():
     assert int(total) >= 15
 
 
-def test_check_unknown_suite_is_a_usage_error():
-    proc = run_cli("check", "--suite", "bogus")
+def test_check_unknown_suite_is_a_usage_error(capsys):
+    proc = run_main(capsys, "check", "--suite", "bogus")
     assert proc.returncode == 2
     for name in ({}, []):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -368,6 +379,7 @@ def test_all_runs_every_suite_in_order():
 
 
 def test_missing_subcommand_is_a_usage_error():
+    # a real process: argparse's exit status reaches the shell as 2
     proc = run_cli()
     assert proc.returncode == 2
 

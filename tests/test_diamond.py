@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from _oracles import ext_power_oracle, sym_power_oracle
 from ihshodge.diamond import (
     BettiVector,
+    _graded_powers,
     HodgeDiamond,
     betti,
     check_diamond,
@@ -386,6 +387,10 @@ def test_powers_seeded_by_first_piece_match_oracle(entries, k):
     assert sym_power(d, k).entries == sym_power_oracle(entries, k)
     assert ext_power(d, k).entries == ext_power_oracle(entries, k)
     assert sym_power(d, 0) == ext_power(d, 0) == HodgeDiamond({(0, 0): 1})
+    # _eq_power reads every table up to k, not only the top one
+    for exterior, oracle in ((False, sym_power_oracle), (True, ext_power_oracle)):
+        tables = _graded_powers(d, k, exterior, "power")
+        assert tables == [oracle(entries, j) for j in range(k + 1)]
 
 
 def test_direct_sum_with_an_empty_side():

@@ -76,18 +76,6 @@ def _check(name: str, compute: Callable[[], object], expected: object) -> CheckR
     return CheckResult(name, False, f"got {computed!r}, expected {expected!r}")
 
 
-class _HilbertSchemes(dict):
-    """K3^[n] and abelian^[n] by (kind, n), each built once per suite run.
-
-    A build that raises is not stored, so every check that needs it fails.
-    """
-
-    def __missing__(self, key: tuple[str, int]) -> HodgeDiamond:
-        kind, n = key
-        self[key] = diamond = hilbert_scheme_diamond(surface_diamond(kind), n)
-        return diamond
-
-
 # ---------------------------------------------------------------------------
 # salamon
 
@@ -95,12 +83,12 @@ class _HilbertSchemes(dict):
 _OG6_BETTI = BettiVector(6, (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1))
 
 
-def _suite_salamon(hilb: _HilbertSchemes) -> list[CheckResult]:
+def _suite_salamon(hilb: Callable[[str, int], HodgeDiamond]) -> list[CheckResult]:
     return [
         _check("salamon: OG6 Betti row satisfies the constraint",
                lambda: salamon_residual(_OG6_BETTI), 0),
         *(_check(f"salamon: K3^[{n}] Betti row satisfies the constraint",
-                 lambda n=n: salamon_residual(betti(hilb["k3", n])), 0)
+                 lambda n=n: salamon_residual(betti(hilb("k3", n))), 0)
           for n in (2, 3)),
         _check("salamon: every even single-entry perturbation is detected",
                lambda: [(k, delta) for k in range(0, 7, 2) for delta in (1, -1)
@@ -116,7 +104,7 @@ def _suite_salamon(hilb: _HilbertSchemes) -> list[CheckResult]:
 # duality
 
 
-def _suite_duality(hilb: _HilbertSchemes) -> list[CheckResult]:
+def _suite_duality(hilb: Callable[[str, int], HodgeDiamond]) -> list[CheckResult]:
     return [
         _check("duality: OG6 diamond passes symmetry and duality",
                lambda: check_diamond(run_full_pipeline().diamond), ()),
@@ -148,34 +136,34 @@ def _product_formula_slices(surface: HodgeDiamond,
     return [series.t_slice(m) for m in range(n + 1)]
 
 
-def _suite_goettsche(hilb: _HilbertSchemes) -> list[CheckResult]:
-    chern = functools.cache(lambda: chern_numbers(hilb["k3", 3]))
+def _suite_goettsche(hilb: Callable[[str, int], HodgeDiamond]) -> list[CheckResult]:
+    chern = functools.cache(lambda: chern_numbers(hilb("k3", 3)))
     return [
         _check("goettsche: recurrence matches the product formula",
                lambda: [(kind, m) for kind, n in (("k3", 3), ("abelian", 2))
                         for m, entries in enumerate(
                             _product_formula_slices(surface_diamond(kind), n))
-                        if hilb[kind, m].entries != entries], []),
+                        if hilb(kind, m).entries != entries], []),
         _check("goettsche: zero points give a point",
-               lambda: hilb["k3", 0], HodgeDiamond({(0, 0): 1}, complex_dimension=0)),
+               lambda: hilb("k3", 0), HodgeDiamond({(0, 0): 1}, complex_dimension=0)),
         *(_check(f"goettsche: one point on {kind} gives the surface",
-                 lambda kind=kind: hilb[kind, 1], surface_diamond(kind))
+                 lambda kind=kind: hilb(kind, 1), surface_diamond(kind))
           for kind in ("k3", "abelian")),
         _check("goettsche: K3^[2] Betti numbers",
-               lambda: betti(hilb["k3", 2]).b, (1, 0, 23, 0, 276, 0, 23, 0, 1)),
+               lambda: betti(hilb("k3", 2)).b, (1, 0, 23, 0, 276, 0, 23, 0, 1)),
         _check("goettsche: K3^[3] equals its own Markman assembly",
                lambda: markman_assembly(HodgeDiamond(
-                   {(p, q): v for p, q, v in hilb["k3", 3].items() if p + q == 2}))
-               == hilb["k3", 3], True),
+                   {(p, q): v for p, q, v in hilb("k3", 3).items() if p + q == 2}))
+               == hilb("k3", 3), True),
         _check("goettsche: K3^[3] Euler characteristic",
-               lambda: euler_characteristic(hilb["k3", 3]), 3200),
+               lambda: euler_characteristic(hilb("k3", 3)), 3200),
         _check("goettsche: abelian Hilbert schemes have Euler number 0",
-               lambda: [euler_characteristic(hilb["abelian", n]) for n in (1, 2, 3)],
+               lambda: [euler_characteristic(hilb("abelian", n)) for n in (1, 2, 3)],
                [0, 0, 0]),
         _check("goettsche: OG6 and K3^[0..3] have h^{p,0} = 1 for even p, 0 for odd p",
                lambda: [[d.h(p, 0) for p in range(d.complex_dimension + 1)]
                         for d in (run_full_pipeline().diamond,
-                                  *(hilb["k3", n] for n in range(4)))],
+                                  *(hilb("k3", n) for n in range(4)))],
                [[1 - p % 2 for p in range(dim + 1)] for dim in (6, 0, 2, 4, 6)]),
         _check("goettsche: OG6 and K3^[3] have Todd genus 4",
                lambda: [10 * c.c2_cubed - 9 * c.c2_c4 + 2 * c.c6
@@ -219,7 +207,7 @@ def _forget_failures() -> list:
     return failures[:1]
 
 
-def _suite_equivariant(hilb: _HilbertSchemes) -> list[CheckResult]:
+def _suite_equivariant(hilb: Callable[[str, int], HodgeDiamond]) -> list[CheckResult]:
     h2 = functools.cache(lambda: derive_invariant_h2(8))
     weight4 = functools.cache(lambda: markman_equivariant(h2(), 4))
     splits = [(plus, minus) for plus in range(9) for minus in range(9 - plus)]
@@ -255,9 +243,10 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite, or all of them in a fixed order.
 
-    The suites of one call share each Hilbert-scheme diamond they need.
-    No suite after the goettsche suite needs one, so the diamonds are
-    dropped there rather than held through the equivariant suite.
+    The suites of one call share ``hilb(kind, n)``, each K3^[n] or
+    abelian^[n] built once; a build that raises is not kept.  No suite
+    after the goettsche suite needs one, so the cache is cleared there
+    rather than held through the equivariant suite.
     """
     if name == "all":
         suites = list(_SUITES.values())
@@ -265,10 +254,10 @@ def run_suite(name: str) -> list[CheckResult]:
         suites = [_SUITES[name]]
     else:
         raise ValueError(f"unknown suite {name!r}")
-    hilb = _HilbertSchemes()
+    hilb = functools.cache(lambda kind, n: hilbert_scheme_diamond(surface_diamond(kind), n))
     results = []
     for suite in suites:
         results += suite(hilb)
         if suite is _suite_goettsche:
-            hilb.clear()
+            hilb.cache_clear()
     return results

@@ -280,6 +280,11 @@ def _digit_bits(size: int, n: int) -> int:
     return g[n].bit_length()
 
 
+def _width(bits: int, n: int) -> int:
+    """The digit width w for the bit length b = ``bits`` of G_n (module docstring)."""
+    return 8 * -(-(bits + n.bit_length() + 2) // 8)
+
+
 def _digits(value: int, width: int, cells: int) -> tuple[int, ...]:
     """The ``cells`` base-2^width digits of ``value`` >= 0, in one pass."""
     size = width // 8
@@ -396,9 +401,15 @@ def hilbert_scheme_diamond(surface: HodgeDiamond, n: int, *,
         raise ValueError(f"n={n} exceeds the limit {max_n}")
     base = 2 * n + 1
     step = math.gcd(base + 1, *(base * p + q for p, q in surface._entries))
-    bits = _digit_bits(sum(map(abs, surface._entries.values())), n)
-    width = 8 * -(-(bits + n.bit_length() + 2) // 8)
+    size = sum(map(abs, surface._entries.values()))
     cells = (base * base - 1) // step + 1
+    # G_n >= s^n/n! >= 2^(n(b-1))/n^n, b = bitlength(s): a huge s fails before _digit_bits
+    least = _width(n * (size.bit_length() - 1 - n.bit_length()) + 1, n) * cells
+    if least > MAX_PACKED_BITS:
+        raise ValueError(f"the request packs each slice into at least {least} bits, "
+                         f"beyond the limit {MAX_PACKED_BITS}")
+    bits = _digit_bits(size, n)
+    width = _width(bits, n)
     if width * cells > MAX_PACKED_BITS:
         raise ValueError(f"the request packs each slice into {width * cells} bits, "
                          f"beyond the limit {MAX_PACKED_BITS}")

@@ -1,8 +1,10 @@
-"""Brute-force oracles, independent of the package implementation.
+"""Reference values and brute-force oracles, independent of the package.
 
-Everything here enumerates explicit monomials in explicit basis vectors,
-so it is exponentially slower than the closed-form package code but
-trivially correct.  The test modules compare the two.
+OG6's Hodge numbers, Betti row and derivation stages are written here
+once, as the paper states them.  Everything else enumerates explicit
+monomials in explicit basis vectors, so it is exponentially slower than
+the closed-form package code but trivially correct.  The test modules
+compare the two.
 """
 
 from __future__ import annotations
@@ -11,6 +13,19 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 Bidegree = tuple[int, int]
+
+OG6_ENTRIES = {
+    (0, 0): 1,
+    (2, 0): 1, (1, 1): 6, (0, 2): 1,
+    (4, 0): 1, (3, 1): 12, (2, 2): 173, (1, 3): 12, (0, 4): 1,
+    (6, 0): 1, (5, 1): 6, (4, 2): 173, (3, 3): 1144, (2, 4): 173,
+    (1, 5): 6, (0, 6): 1,
+    (6, 2): 1, (5, 3): 12, (4, 4): 173, (3, 5): 12, (2, 6): 1,
+    (6, 4): 1, (5, 5): 6, (4, 6): 1,
+    (6, 6): 1,
+}
+OG6_BETTI = (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1)
+STAGES = ("4fin", "3fin", "X-and-Y", "Kt-and-Ktt(2)", "Kt-and-Ktt(1)", "thm:main")
 
 
 def _signed_basis(entries: dict[Bidegree, tuple[int, int]]

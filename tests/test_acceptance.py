@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import random
-import subprocess
-import sys
 
-from _oracles import eq_ext_power_oracle, eq_sym_power_oracle
+from _oracles import OG6_BETTI, OG6_ENTRIES, eq_ext_power_oracle, eq_sym_power_oracle
+from ihshodge import cli
 from ihshodge.diamond import (
     BettiVector,
     HodgeDiamond,
@@ -44,19 +43,6 @@ from ihshodge.pipeline import (
     ybar_invariants,
     yhat_invariants,
 )
-
-OG6_ENTRIES = {
-    (0, 0): 1,
-    (2, 0): 1, (1, 1): 6, (0, 2): 1,
-    (4, 0): 1, (3, 1): 12, (2, 2): 173, (1, 3): 12, (0, 4): 1,
-    (6, 0): 1, (5, 1): 6, (4, 2): 173, (3, 3): 1144, (2, 4): 173,
-    (1, 5): 6, (0, 6): 1,
-    (6, 2): 1, (5, 3): 12, (4, 4): 173, (3, 5): 12, (2, 6): 1,
-    (6, 4): 1, (5, 5): 6, (4, 6): 1,
-    (6, 6): 1,
-}
-
-OG6_BETTI = (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1)
 
 
 def test_criterion_01_og6_hodge_table():
@@ -160,18 +146,11 @@ def test_criterion_09_duality_and_symmetry():
     assert check_diamond(chain) == ()
 
 
-def test_criterion_10_cli_exit_codes():
-    over_cap = subprocess.run(
-        [sys.executable, "-m", "ihshodge", "hilb", "--n", "31"],
-        capture_output=True, text=True)
-    assert over_cap.returncode == 2, over_cap.stderr
-    suite = subprocess.run(
-        [sys.executable, "-m", "ihshodge", "check", "--suite", "all"],
-        capture_output=True, text=True)
-    assert suite.returncode == 0, suite.stdout
+def test_criterion_10_cli_exit_codes(capsys):
+    # in-process; test_cli.py checks the exit status of a child interpreter
+    assert cli.main(["hilb", "--n", "31"]) == 2
+    assert cli.main(["check", "--suite", "all"]) == 0
+    capsys.readouterr()
     # and the JSON emitter stays parseable, since scripts build on it
-    emitted = subprocess.run(
-        [sys.executable, "-m", "ihshodge", "og6", "--format", "json"],
-        capture_output=True, text=True)
-    assert emitted.returncode == 0
-    assert json.loads(emitted.stdout)["diamond"]["entries"]
+    assert cli.main(["og6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["diamond"]["entries"]

@@ -18,7 +18,9 @@ import ihshodge
 MODULES = ("checks", "cli", "diamond", "equivariant", "goettsche",
            "pipeline", "render")
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# The directory that holds the imported package: src/ in a checkout, or
+# site-packages, so these tests check an installed package as it is.
+SRC = Path(ihshodge.__file__).resolve().parent.parent
 
 # Runs in a fresh interpreter; prints the heavy modules loaded by the
 # Hilbert-scheme route, then h^{3,3} of OG6 once the pipeline is asked for.

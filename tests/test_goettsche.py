@@ -275,34 +275,69 @@ def test_hilb_cap_enforced():
     assert hilbert_scheme_diamond(k3, 4, max_n=4).complex_dimension == 8
 
 
-def test_hilb_rejects_a_request_beyond_the_packed_size_limit(monkeypatch):
-    # K3-shaped with h^{1,1} = 10^200 at n = 30: digits of 19,832 bits on
-    # 1861 cells, 36.9M bits a slice, 35 times the limit.  The width's
-    # majorant is the only work done; cached, the call takes microseconds.
+@pytest.mark.parametrize("table, packed", [
+    ({(0, 0): 1, (2, 0): 1, (1, 1): 10 ** 200, (0, 2): 1, (2, 2): 1}, 36818024),
+    ({(0, 0): 1, (2, 0): 1, (1, 1): 10 ** 100000, (0, 2): 1, (2, 2): 1}, 18546026264),
+    ({(0, 0): 1, (1, 1): 10 ** 20000, (2, 2): 1}, 121573000),
+], ids=["k3-shaped-e200", "k3-shaped-e100000", "diagonal-e20000"])
+def test_hilb_rejects_a_request_beyond_the_packed_size_limit(monkeypatch, table, packed):
+    # K3-shaped with h^{1,1} = 10^200 at n = 30: digits of at least 19,784
+    # bits on 1861 cells, 36.8M bits a slice, 35 times the limit.  The lower
+    # bound n (bitlength(s) - 1 - bitlength(n)) + 1 on the bits of G_n rejects
+    # it before the majorant, which takes seconds for s = 10^100000.
+    def ran(*args):
+        raise AssertionError("the majorant or the recurrence ran")
+
+    monkeypatch.setattr(goettsche, "_digit_bits", ran)
+    monkeypatch.setattr(goettsche, "_packed_t_slice", ran)
+    huge = HodgeDiamond(table, complex_dimension=2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(
+            f"packs each slice into at least {packed} bits, beyond the limit "
+            f"{goettsche.MAX_PACKED_BITS}")):
+        hilbert_scheme_diamond(huge, DEFAULT_MAX_N)
+    assert time.perf_counter() - start < 0.05
+    assert goettsche.MAX_PACKED_BITS == 1 << 20
+
+
+def test_hilb_size_limit_checks_the_exact_width_past_the_lower_bound(monkeypatch):
+    # K3^[30]: s = 24 is too small for the lower bound to reject anything, so
+    # only the exact width, from G_30, finds 133,992 bits over a lower limit.
+    monkeypatch.setattr(goettsche, "MAX_PACKED_BITS", 133991)
+    with pytest.raises(ValueError, match="^the request packs each slice into 133992 bits, "
+                                         "beyond the limit 133991$"):
+        hilbert_scheme_diamond(surface_diamond("k3"), 30)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, DEFAULT_MAX_N])
+def test_hilb_lower_bound_never_rejects_a_request_that_fits(monkeypatch, n):
+    # With the limit at the exact packed size, s around each 2^e passes both
+    # checks: the cheap bound on bits(G_n) never exceeds the exact one.
+    class Packed(Exception):
+        pass
+
     def kernel(*args):
-        raise AssertionError("the recurrence ran")
+        raise Packed
 
     monkeypatch.setattr(goettsche, "_packed_t_slice", kernel)
-    huge = HodgeDiamond({(0, 0): 1, (2, 0): 1, (1, 1): 10 ** 200, (0, 2): 1,
-                         (2, 2): 1}, complex_dimension=2)
-    for _ in range(2):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=re.escape(
-                f"packs each slice into 36907352 bits, beyond the limit "
-                f"{goettsche.MAX_PACKED_BITS}")):
-            hilbert_scheme_diamond(huge, DEFAULT_MAX_N)
-        assert time.perf_counter() - start < 0.05
-    assert goettsche.MAX_PACKED_BITS == 1 << 20
+    for size in (2 ** e + d for e in range(2, 600, 7) for d in (-1, 0, 1)):
+        # the diagonal packs 2n + 1 cells
+        exact = goettsche._width(goettsche._digit_bits(size, n), n) * (2 * n + 1)
+        monkeypatch.setattr(goettsche, "MAX_PACKED_BITS", exact)
+        with pytest.raises(Packed):
+            hilbert_scheme_diamond(HodgeDiamond(
+                {(0, 0): 1, (1, 1): size - 2, (2, 2): 1}, complex_dimension=2), n)
 
 
 @pytest.mark.parametrize("kind, size", [("k3", 40), ("abelian", 72)])
 def test_hilb_size_limit_counts_the_cells_packed(monkeypatch, kind, size):
-    # At n = 1, K3 packs 5 cells (step 2) and abelian all 9, of 8 bits each.
+    # At n = 1, K3 packs 5 cells (step 2) and abelian all 9, of 8 bits each;
+    # the lower bound on the width already gives those 8 bits.
     surface = surface_diamond(kind)
     monkeypatch.setattr(goettsche, "MAX_PACKED_BITS", size)
     assert hilbert_scheme_diamond(surface, 1) == surface
     monkeypatch.setattr(goettsche, "MAX_PACKED_BITS", size - 1)
-    with pytest.raises(ValueError, match=f"into {size} bits, beyond the limit {size - 1}"):
+    with pytest.raises(ValueError, match=f"into at least {size} bits, beyond the limit {size - 1}"):
         hilbert_scheme_diamond(surface, 1)
 
 

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from _oracles import swap_orbit_counts
+from _oracles import OG6_BETTI, OG6_ENTRIES, STAGES, swap_orbit_counts
 from ihshodge.diamond import (
     BettiVector,
     ConsistencyError,
@@ -42,19 +42,6 @@ from ihshodge.pipeline import (
     yhat_invariants,
 )
 
-OG6_ENTRIES = {
-    (0, 0): 1,
-    (2, 0): 1, (1, 1): 6, (0, 2): 1,
-    (4, 0): 1, (3, 1): 12, (2, 2): 173, (1, 3): 12, (0, 4): 1,
-    (6, 0): 1, (5, 1): 6, (4, 2): 173, (3, 3): 1144, (2, 4): 173,
-    (1, 5): 6, (0, 6): 1,
-    (6, 2): 1, (5, 3): 12, (4, 4): 173, (3, 5): 12, (2, 6): 1,
-    (6, 4): 1, (5, 5): 6, (4, 6): 1,
-    (6, 6): 1,
-}
-
-OG6_BETTI = (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1)
-STAGES = ("4fin", "3fin", "X-and-Y", "Kt-and-Ktt(2)", "Kt-and-Ktt(1)", "thm:main")
 QUADRIC3 = HodgeDiamond({(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1},
                         complex_dimension=3)
 DEFAULTS = NamedConstants()

@@ -357,7 +357,7 @@ def test_check_all_builds_each_hilbert_scheme_once(monkeypatch):
 
 
 def test_check_all_drops_the_hilbert_schemes_before_the_equivariant_suite(monkeypatch):
-    # The shared diamonds must not sit in memory beside the 200-table loop.
+    # The shared diamonds must not sit in memory beside the equivariant suite.
     held = []
     equivariant = checks._SUITES["equivariant"]
 

@@ -4,11 +4,13 @@ OG6's Hodge numbers, Betti row and derivation stages are written here
 once, as the paper states them.  Everything else enumerates explicit
 monomials in explicit basis vectors, so it is exponentially slower than
 the closed-form package code but trivially correct.  The test modules
-compare the two.
+compare the two.  ``random_eq_entries`` draws the seeded eigenspace
+tables that several test modules share.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -85,6 +87,17 @@ def forget_oracle(entries: dict[Bidegree, tuple[int, int]]) -> dict[Bidegree, in
     table: dict[Bidegree, int] = {}
     for degree, _ in _signed_basis(entries):
         table[degree] = table.get(degree, 0) + 1
+    return table
+
+
+def random_eq_entries(rng: random.Random) -> dict[Bidegree, tuple[int, int]]:
+    """One to three even degrees, each with at most 8 classes split into (plus, minus)."""
+    degrees = [(0, 0), (1, 1), (2, 0), (0, 2), (2, 2), (3, 1)]
+    table = {}
+    for degree in rng.sample(degrees, rng.randint(1, 3)):
+        plus = rng.randint(0, 8)
+        minus = rng.randint(0, 8 - plus)
+        table[degree] = (plus, minus)
     return table
 
 

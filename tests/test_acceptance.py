@@ -10,7 +10,13 @@ from __future__ import annotations
 import json
 import random
 
-from _oracles import OG6_BETTI, OG6_ENTRIES, eq_ext_power_oracle, eq_sym_power_oracle
+from _oracles import (
+    OG6_BETTI,
+    OG6_ENTRIES,
+    eq_ext_power_oracle,
+    eq_sym_power_oracle,
+    random_eq_entries,
+)
 from ihshodge import cli
 from ihshodge.diamond import (
     BettiVector,
@@ -103,22 +109,12 @@ def test_criterion_06_salamon_constraint():
                 (index, delta)
 
 
-def random_equivariant(rng: random.Random) -> EquivariantDiamond:
-    degrees = [(0, 0), (1, 1), (2, 0), (0, 2), (2, 2), (3, 1)]
-    table = {}
-    for degree in rng.sample(degrees, rng.randint(1, 3)):
-        plus = rng.randint(0, 8)
-        minus = rng.randint(0, 8 - plus)
-        table[degree] = (plus, minus)
-    return EquivariantDiamond(table)
-
-
 def test_criterion_07_forget_commutes_on_200_random_tables():
     rng = random.Random(90021)
     for i in range(200):
         k = 2 + i % 2
-        a = random_equivariant(rng)
-        b = random_equivariant(rng)
+        a = EquivariantDiamond(random_eq_entries(rng))
+        b = EquivariantDiamond(random_eq_entries(rng))
         assert forget(eq_sym_power(a, k)) == sym_power(forget(a), k)
         assert forget(eq_ext_power(a, k)) == ext_power(forget(a), k)
         assert forget(eq_tensor(a, b)) == tensor(forget(a), forget(b))

@@ -9,9 +9,9 @@ literal moved by one, or one operator swapped as ``REPLACE`` lists.  Each
 mutant runs in a child interpreter on a temporary copy of the package.  The
 child first runs ``check --suite all`` and reports the lines that fail.  Then
 it runs the pool: the 200 table pairs that the referee of ``check`` drew
-from seed 64001 before it took a fixed set.  For each pair it reports which of
-Sym^k, Lambda^k and the tensor product forget to the wrong plain table, or
-raise.  A crash or a timeout counts as a kill.
+from seed 64001 before it took a fixed set.  It judges each pair alone with
+the referee's own ``checks._forget_failures`` and reports the pairs that fail
+or raise.  A crash or a timeout counts as a kill.
 
 From the pool's kills it picks a greedy 2-cover: every mutant that some pair
 exposes is exposed by two chosen pairs, or by all of its pairs if it has
@@ -22,10 +22,10 @@ than its index.  It prints the chosen pairs as the literal ``_REFEREE`` of
 ``ihshodge/checks.py``.
 
 ``--out`` writes the whole record as JSON: for each mutant its outcome, its
-failing ``check`` lines as indices into ``lines``, and for each route the pool
-pairs that expose it as a hexadecimal mask, bit i for pair i.  ``--verify``
-exits 1 when the pool kills a mutant that the referee line of ``check`` does
-not; otherwise the exit is 0, or 2 if the unmutated package already fails.
+failing ``check`` lines as indices into ``lines``, and the pool pairs that
+expose it as a hexadecimal mask, bit i for pair i.  ``--verify`` exits 1 when
+the pool kills a mutant that the referee line of ``check`` does not; otherwise
+the exit is 0, or 2 if the unmutated package already fails.
 """
 
 from __future__ import annotations
@@ -141,26 +141,16 @@ try:
 except (ImportError, ValueError, OSError):
     pass
 from ihshodge import checks
-from ihshodge.diamond import ext_power, sym_power, tensor
-from ihshodge.equivariant import (
-    EquivariantDiamond as E, eq_ext_power, eq_sym_power, eq_tensor, forget)
 pairs = ast.literal_eval(sys.stdin.read())
 print(json.dumps([[r.name, r.ok] for r in checks.run_suite("all")]), flush=True)
-routes = {{
-    "sym": lambda k, a, b: forget(eq_sym_power(E(a), k)) == sym_power(forget(E(a)), k),
-    "ext": lambda k, a, b: forget(eq_ext_power(E(a), k)) == ext_power(forget(E(a)), k),
-    "tensor": lambda k, a, b:
-        forget(eq_tensor(E(a), E(b))) == tensor(forget(E(a)), forget(E(b))),
-}}
-exposed = {{route: [] for route in routes}}
+exposed = []
 for i, pair in enumerate(pairs):
-    for route, same in routes.items():
-        try:
-            ok = same(*pair) is True
-        except Exception:
-            ok = False
-        if not ok:
-            exposed[route].append(i)
+    try:
+        failed = bool(checks._forget_failures([pair]))
+    except Exception:
+        failed = True
+    if failed:
+        exposed.append(i)
 print(json.dumps(exposed), flush=True)
 """
 
@@ -170,7 +160,7 @@ def run(target: str | None, source: str | None, pairs_text: str,
     """Run one mutant, or the unmutated package if ``target`` is None.
 
     ``lines`` holds ``[name, ok]`` for each line of ``check --suite all``,
-    ``exposed`` the pool pairs that each route fails on; either is None if the
+    ``exposed`` the indices of the pool pairs that fail; either is None if the
     child crashed or timed out before it reported them.
     """
     with tempfile.TemporaryDirectory() as tmp:
@@ -204,7 +194,7 @@ def killed(result: dict) -> tuple[bool, bool, bool]:
     failed = None if lines is None else [name for name, ok in lines if not ok]
     return (failed is None or bool(failed),
             failed is None or any(name.startswith(REFEREE_LINE) for name in failed),
-            exposed is None or any(exposed.values()))
+            exposed is None or bool(exposed))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +291,9 @@ def sweep(workers: int) -> dict:
             "check": check, "referee_line": line, "pool": by_pool,
             "failed": None if lines is None else [
                 names.index(name) for name, ok in lines if not ok],
-            "exposed": None if exposed is None else {
-                route: _mask(found) for route, found in exposed.items() if found},
+            "exposed": None if exposed is None else _mask(exposed),
         })
-    cover = two_cover([set().union(*result["exposed"].values()) for result in results
-                       if result["exposed"] and any(result["exposed"].values())])
+    cover = two_cover([set(result["exposed"]) for result in results if result["exposed"]])
     return {
         "sources": {target: hashlib.sha256((PACKAGE / target).read_bytes()).hexdigest()
                     for target in TARGETS},

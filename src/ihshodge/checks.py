@@ -123,10 +123,14 @@ def _suite_duality(hilb: Callable[[str, int], HodgeDiamond]) -> list[CheckResult
 
 def _product_formula_slices(surface: HodgeDiamond,
                             n: int) -> list[dict[tuple[int, int], int]]:
-    """The t^0..t^n slices of Goettsche's product, multiplied out factor by factor."""
+    """The t^0..t^n slices of Goettsche's product, multiplied out factor by factor.
+
+    From k = n down, so the series stays small until the k = 1 factors; the
+    truncation is a quotient by a monomial ideal, so any order gives the same.
+    """
     max_xy = 2 * n
     series = TruncatedSeries3({(0, 0, 0): 1}, max_xy, n)
-    for k in range(1, n + 1):
+    for k in range(n, 0, -1):
         for p, q, h in surface.items():
             sign = 1 if (p + q) % 2 else -1
             factor = factor_power((p + k - 1, q + k - 1, k), sign, sign * h,

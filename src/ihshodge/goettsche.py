@@ -76,7 +76,9 @@ no negative coefficient; then F_n = V - B unpacks as it is.
 :class:`TruncatedSeries3` with :func:`factor_power` and
 :func:`series_mul` multiply the product out factor by factor.  They are
 the independent referee that ``check --suite goettsche`` compares the
-recurrence against.
+recurrence against.  The referee multiplies the factors from k = n down,
+and :func:`series_mul` skips each pair of terms past the truncation before
+it builds the pair's key.
 """
 
 from __future__ import annotations
@@ -173,8 +175,10 @@ class TruncatedSeries3(_Record):
         yield from sorted(self._coeffs.items())
 
     def t_slice(self, m: int) -> dict[tuple[int, int], int]:
-        """The coefficient of t^m as a table (a, b) -> integer."""
-        return {(a, b): c for (a, b, mm), c in self.items() if mm == m}
+        """The coefficient of t^m, 0 <= m <= ``max_t``, as a table (a, b) -> integer."""
+        if not _is_int(m) or not 0 <= m <= self.max_t:
+            raise ValueError(f"t power must be an integer in 0..{self.max_t}, got {m!r}")
+        return dict(sorted(((a, b), c) for (a, b, mm), c in self._coeffs.items() if mm == m))
 
     def __hash__(self) -> int:
         return hash((self.max_xy, self.max_t, frozenset(self._coeffs.items())))
@@ -194,11 +198,13 @@ def series_mul(a: TruncatedSeries3, b: TruncatedSeries3) -> TruncatedSeries3:
             f"truncation bounds differ: ({a.max_xy},{a.max_t}) vs "
             f"({b.max_xy},{b.max_t})")
     table: dict[Exponents, int] = {}
-    for (a1, b1, m1), c1 in a._coeffs.items():
-        for (a2, b2, m2), c2 in b._coeffs.items():
-            key = (a1 + a2, b1 + b2, m1 + m2)
-            if key[0] > a.max_xy or key[1] > a.max_xy or key[2] > a.max_t:
+    for (a2, b2, m2), c2 in b._coeffs.items():
+        # the room each exponent of a's term has left; a pair past it is never built
+        room_a, room_b, room_m = a.max_xy - a2, a.max_xy - b2, a.max_t - m2
+        for (a1, b1, m1), c1 in a._coeffs.items():
+            if a1 > room_a or b1 > room_b or m1 > room_m:
                 continue
+            key = (a1 + a2, b1 + b2, m1 + m2)
             table[key] = table.get(key, 0) + c1 * c2
     # signed terms can cancel; no other builder of a series makes a zero
     return TruncatedSeries3._trusted({key: c for key, c in table.items() if c},

@@ -7,14 +7,14 @@ import re
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from _oracles import (
     goettsche_betti_row,
     inverse_eta_power_coefficient,
     naive_truncated_product,
 )
-from ihshodge import goettsche
+from ihshodge import checks, goettsche
 from ihshodge.checks import _product_formula_slices
 from ihshodge.diamond import (
     ConsistencyError,
@@ -104,6 +104,16 @@ def test_difference_of_squares():
 def test_t_slice():
     f = TruncatedSeries3({(1, 1, 2): 4, (0, 0, 2): 1, (1, 0, 1): 9}, 4, 2)
     assert f.t_slice(2) == {(0, 0): 1, (1, 1): 4}
+    assert f.t_slice(0) == {}
+
+
+@pytest.mark.parametrize("m", [True, False, 1.0, 2.0, "1", None, -1, 3, 7], ids=repr)
+def test_t_slice_rejects_a_power_that_is_not_one_of_its_slices(m):
+    # a bool or float would pose as slice 0 or 1, and a power past max_t or
+    # below 0 would read as an empty slice
+    f = TruncatedSeries3({(0, 0, 0): 1, (1, 0, 1): 9, (1, 1, 2): 4}, 4, 2)
+    with pytest.raises(ValueError, match=r"t power must be an integer in 0\.\.2"):
+        f.t_slice(m)
 
 
 def monomial_key():
@@ -121,6 +131,24 @@ def test_product_matches_naive_convolution(ca, cb):
     got = dict(series_mul(a, b).items())
     expected = naive_truncated_product(dict(a.items()), dict(b.items()), 3, 2)
     assert got == expected
+
+
+def tight_coeffs_strategy(max_size):
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+    return st.dictionaries(keys, st.integers(-5, 5), max_size=max_size)
+
+
+# In each example one of the x, y and t room tests discards a pair of terms,
+# and a pair that meets the bound exactly is kept.
+@example({(1, 0, 0): 2}, {(1, 0, 0): 3, (2, 0, 0): 5, (0, 1, 1): 7})
+@example({(0, 1, 0): 2}, {(0, 1, 0): 3, (0, 2, 0): 5, (1, 0, 1): 7})
+@example({(0, 0, 1): 2}, {(0, 0, 0): 3, (0, 0, 1): 5, (2, 2, 0): 7})
+@given(tight_coeffs_strategy(3), tight_coeffs_strategy(12))
+def test_product_with_the_larger_operand_second_matches_naive_convolution(ca, cb):
+    a = TruncatedSeries3(ca, 2, 1)
+    b = TruncatedSeries3(cb, 2, 1)
+    got = dict(series_mul(a, b).items())
+    assert got == naive_truncated_product(dict(a.items()), dict(b.items()), 2, 1)
 
 
 @given(coeffs_strategy(), st.data())
@@ -497,6 +525,17 @@ def test_abelian_hilb_betti_numbers(n):
     assert check_diamond(d) == ()
 
 
+@pytest.mark.parametrize("kind", ["k3", "abelian"])
+def test_hard_lefschetz_at_every_n(kind):
+    # Cupping with a Kaehler class injects H^{p,q} into H^{p+1,q+1} below the
+    # middle degree.  Hilbert schemes of projective surfaces are Kaehler, so
+    # this holds for these two surfaces; an arbitrary table need not obey it.
+    for n in range(DEFAULT_MAX_N + 1):
+        d = hilbert_scheme_diamond(surface_diamond(kind), n)
+        assert [(p, q) for p in range(2 * n + 1) for q in range(2 * n - p)
+                if d.h(p, q) > d.h(p + 1, q + 1)] == [], n
+
+
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_hilb_betti_numbers_on_random_surfaces(n):
     # The benchmark's table shapes and sizes, against the one-variable product.
@@ -536,18 +575,62 @@ def test_recurrence_matches_product_formula_on_random_surfaces():
             assert got.entries == expected, (surface, m)
 
 
+def _asymmetric_surface(rng: random.Random) -> HodgeDiamond:
+    """A table with h10 != h01 and h20 != h02."""
+    h10, h20 = rng.randint(0, 3), rng.randint(0, 3)
+    return HodgeDiamond({
+        (0, 0): 1, (1, 0): h10, (0, 1): h10 + rng.randint(1, 3),
+        (2, 0): h20, (0, 2): h20 + rng.randint(1, 2),
+        (1, 1): rng.randint(0, 30), (2, 1): rng.randint(0, 4),
+        (1, 2): rng.randint(0, 4), (2, 2): rng.randint(0, 2)},
+        complex_dimension=2)
+
+
+def _forward_multiply_out(surface: HodgeDiamond, n: int) -> list[dict]:
+    """The slices of Goettsche's product, k = 1 first, truncated only at the end
+    of each multiplication."""
+    series = {(0, 0, 0): 1}
+    for k in range(1, n + 1):
+        for p, q, h in surface.items():
+            sign = 1 if (p + q) % 2 else -1
+            factor = factor_power((p + k - 1, q + k - 1, k), sign, sign * h, 2 * n, n)
+            series = naive_truncated_product(series, dict(factor.items()), 2 * n, n)
+    return [{(a, b): c for (a, b, m), c in series.items() if m == t}
+            for t in range(n + 1)]
+
+
+def test_product_formula_slices_match_a_forward_naive_multiply_out():
+    # The referee multiplies from k = n down and skips pairs past the
+    # truncation; the oracle goes k = 1 first and truncates afterwards.
+    cases = [(surface_diamond("k3"), n) for n in range(5)]
+    cases += [(surface_diamond("abelian"), n) for n in range(4)]
+    cases += [(_asymmetric_surface(random.Random(20265)), 3)]
+    for surface, n in cases:
+        slices = _product_formula_slices(surface, n)
+        assert slices == _forward_multiply_out(surface, n), (surface, n)
+        assert all(list(s) == sorted(s) for s in slices)
+
+
+def test_product_referee_line_fails_alone_when_the_top_power_of_t_is_dropped(monkeypatch):
+    exact = checks.series_mul
+
+    def drop_top(a, b):
+        product = exact(a, b)
+        return TruncatedSeries3({key: c for key, c in product.items()
+                                 if key[2] != product.max_t},
+                                product.max_xy, product.max_t)
+
+    monkeypatch.setattr(checks, "series_mul", drop_top)
+    failed = [r.name for r in checks.run_suite("goettsche") if not r.ok]
+    assert failed == ["goettsche: recurrence matches the product formula"]
+
+
 def test_recurrence_matches_product_formula_without_surface_symmetries():
     # h10 != h01 and h20 != h02 break Hodge symmetry and Serre duality, so
     # the grouped recurrence is checked as an identity of series alone.
     rng = random.Random(20261)
     for n in (2, 3, 4, 5, 6, 6):
-        h10, h20 = rng.randint(0, 3), rng.randint(0, 3)
-        table = HodgeDiamond({
-            (0, 0): 1, (1, 0): h10, (0, 1): h10 + rng.randint(1, 3),
-            (2, 0): h20, (0, 2): h20 + rng.randint(1, 2),
-            (1, 1): rng.randint(0, 30), (2, 1): rng.randint(0, 4),
-            (1, 2): rng.randint(0, 4), (2, 2): rng.randint(0, 2)},
-            complex_dimension=2)
+        table = _asymmetric_surface(rng)
         for m, expected in enumerate(_product_formula_slices(table, n)):
             got = hilbert_scheme_diamond(table, m)
             assert got.entries == expected, (table, m)

@@ -455,14 +455,16 @@ def solve_betti_dim6(b0: int, b2: int, chi_top: int) -> tuple[int, int]:
     """Solve for (b4, b6) of a 6-fold with vanishing odd Betti numbers.
 
     Combines the n = 3 Salamon relation 3 b6 = 18 b4 + 90 b2 + 210 b0
-    with chi_top = 2 (b0 + b2 + b4) + b6.  Raises ``ValueError`` when no
-    nonnegative integer solution exists.
+    with chi_top = 2 (b0 + b2 + b4) + b6.  Raises ``ValueError`` for a
+    negative b0 or b2 or when no nonnegative integer solution exists.
 
     >>> solve_betti_dim6(1, 8, 1920)
     (199, 1504)
     """
     if not (_is_int(b0) and _is_int(b2) and _is_int(chi_top)):
         raise ValueError(f"b0, b2 and chi must be integers, got {(b0, b2, chi_top)!r}")
+    if b0 < 0 or b2 < 0:
+        raise ValueError(f"b0 and b2 must be nonnegative, got {(b0, b2)!r}")
     b4, remainder = divmod(chi_top - 32 * b2 - 72 * b0, 8)
     if remainder:
         raise ValueError(
@@ -505,14 +507,16 @@ def check_diamond(d: HodgeDiamond) -> tuple[str, ...]:
 def complete_by_duality(d: HodgeDiamond, n: int) -> HodgeDiamond:
     """Extend a table supported in p+q <= n to a full n-fold diamond.
 
-    Entries with p+q < n are mirrored to (n-p, n-q).  An entry with p > n
-    or q > n, or one already present above the middle that disagrees
-    with its mirror, raises ``ValueError``.
+    Entries with p+q < n are mirrored to (n-p, n-q).  A table of another
+    dimension, an entry with p > n or q > n, or one above the middle that
+    disagrees with its mirror, raises ``ValueError``.
     """
     if not isinstance(d, HodgeDiamond):
         raise _wrong_type(HodgeDiamond, d)
     if not _is_int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    if d.complex_dimension not in (None, n):
+        raise ValueError(f"cannot complete a {d.complex_dimension}-fold to a {n}-fold")
     table: dict[Bidegree, int] = {}
     for p, q, value in d.items():
         if p > n or q > n:

@@ -324,8 +324,6 @@ def _correct(table: HodgeDiamond, build, constants: NamedConstants,
 
     Returns the new table and the applied (p, q, delta) triples, sorted.
     """
-    if not isinstance(constants, NamedConstants):
-        raise _wrong_type(NamedConstants, constants)
     if not isinstance(table, HodgeDiamond):
         raise _wrong_type(HodgeDiamond, table)
     for p, q, _ in table.items():
@@ -347,19 +345,17 @@ def _complete(lower: HodgeDiamond) -> HodgeDiamond:
     return completed
 
 
-def ybar_invariants(y_inv: HodgeDiamond,
-                    constants: NamedConstants = _DEFAULTS) -> HodgeDiamond:
+def ybar_invariants(y_inv: HodgeDiamond) -> HodgeDiamond:
     """Invariant cohomology after blowing up the 256 incidence loci.
 
     Each of the 256 fixed incidence varieties adds its swap-invariant
     classes with a Tate shift, giving +256, +256, +512 on the diagonal
     entries (1,1), (2,2), (3,3) of the invariant table.
     """
-    return _correct(y_inv, _ybar_corrections, constants, "ybar_invariants")[0]
+    return _correct(y_inv, _ybar_corrections, _DEFAULTS, "ybar_invariants")[0]
 
 
-def yhat_invariants(ybar_inv: HodgeDiamond,
-                    constants: NamedConstants = _DEFAULTS) -> HodgeDiamond:
+def yhat_invariants(ybar_inv: HodgeDiamond) -> HodgeDiamond:
     """Add the resolved torus quotient, Tate twisted by one.
 
     The singular quotient acquires, after blowing up the image of the
@@ -368,11 +364,10 @@ def yhat_invariants(ybar_inv: HodgeDiamond,
     The result is also the blow-up of the OG6 manifold along 256 quadric
     threefolds (stage ``Kt-and-Ktt(2)``).
     """
-    return _correct(ybar_inv, _yhat_corrections, constants, "yhat_invariants")[0]
+    return _correct(ybar_inv, _yhat_corrections, _DEFAULTS, "yhat_invariants")[0]
 
 
-def og6_diamond(khat: HodgeDiamond,
-                constants: NamedConstants = _DEFAULTS) -> HodgeDiamond:
+def og6_diamond(khat: HodgeDiamond) -> HodgeDiamond:
     """Remove the 256 quadric contributions and complete by duality.
 
     Inverts the codimension 3 blow-up formula (shifts k = 1, 2) for 256
@@ -380,7 +375,7 @@ def og6_diamond(khat: HodgeDiamond,
     entries to the upper half and validates the result as a 6-fold
     diamond; a table that fails the validation raises ``ValueError``.
     """
-    return _complete(_correct(khat, _quadric_corrections, constants, "og6_diamond")[0])
+    return _complete(_correct(khat, _quadric_corrections, _DEFAULTS, "og6_diamond")[0])
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,51 @@ def goettsche_betti_row(surface_betti: list[int], n: int) -> list[int]:
     return series[n]
 
 
+def chi_minus_y(entries: dict[Bidegree, int], top: int) -> list[int]:
+    """chi_{-y} = sum_{p,q} (-1)^(p+q) h^{p,q} y^p, as the coefficients of y^0 .. y^top."""
+    coeffs = [0] * (top + 1)
+    for (p, q), h in entries.items():
+        coeffs[p] += (-1) ** (p + q) * h
+    return coeffs
+
+
+def hilbert_chi_y(surface: dict[Bidegree, int], n: int) -> list[list[int]]:
+    """chi_{-y}(S^[m]) for m = 0 .. n, each as the coefficients of y^0 .. y^2m.
+
+    Ellingsrud, Goettsche and Lehn (J. Algebraic Geom. 10, 2001, Thm 4.2):
+
+        sum_m chi_{-y}(S^[m]) t^m = exp(sum_{k>=1} chi_{-y^k}(S) t^k / (k (1 - y^k t^k))).
+
+    Its logarithmic derivative is the recurrence m F_m = sum_i (i G_i) F_{m-i},
+    with i G_i = sum_{k | i} (i/k) chi_{-y^k}(S) y^(i-k), run here on dense
+    integer lists in y alone.  It collapses each row of the diamond to one
+    signed sum, so it cannot see a move that keeps every such sum: in K3^[30],
+    +1 at (8,12) and (10,14), -1 at (8,14) and (10,12), -1 at (9,11) and
+    (11,13) and +1 at (9,13) and (11,11), made symmetric and dual, keeps
+    chi_{-y}, every Betti number, symmetry and duality.
+    """
+    base = chi_minus_y(surface, 2)
+    i_g = [[]]  # i_g[i]: the coefficients of i G_i
+    for i in range(1, n + 1):
+        poly = [0] * (2 * i + 1)
+        for k in range(1, i + 1):
+            if i % k == 0:
+                for p, c in enumerate(base):
+                    poly[k * p + i - k] += i // k * c
+        i_g.append(poly)
+    series = [[1]]
+    for m in range(1, n + 1):
+        total = [0] * (2 * m + 1)
+        for i in range(1, m + 1):
+            for a, g in enumerate(i_g[i]):
+                if g:
+                    for b, f in enumerate(series[m - i]):
+                        total[a + b] += g * f
+        assert all(c % m == 0 for c in total), (m, total)
+        series.append([c // m for c in total])
+    return series
+
+
 def swap_orbit_counts(max_k: int = 2) -> tuple[int, ...]:
     """Orbit counts of the swap on monomials h1^a h2^b with a + b = k.
 

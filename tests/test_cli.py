@@ -4,21 +4,19 @@
 from __future__ import annotations
 
 import json
+import os
 import runpy
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from _oracles import OG6_BETTI, STAGES
+from _oracles import OG6_BETTI
 from ihshodge import checks, cli, render
 from ihshodge.diamond import ConsistencyError, HodgeDiamond
 from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
 from ihshodge.pipeline import NamedConstants, run_full_pipeline
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
+from test_golden import CASES, GOLDEN
 
 
 def run_cli(*argv: str):
@@ -60,42 +58,6 @@ def test_og6_json_payload(capsys):
     assert rebuilt(payload["diamond"]) == diamond
 
 
-def test_og6_json_trace(capsys):
-    proc = run_main(capsys, "og6", "--format", "json", "--trace")
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert [entry["lemma"] for entry in payload["trace"]] == list(STAGES)
-
-
-def test_og6_text_output(capsys):
-    proc = run_main(capsys, "og6")
-    assert proc.returncode == 0, proc.stderr
-    assert "OG6 Hodge diamond" in proc.stdout
-    assert "Betti numbers: 1 0 8 0 199 0 1504 0 199 0 8 0 1" in proc.stdout
-    assert "Euler characteristic: 1920" in proc.stdout
-    assert "c2^3 = 30720" in proc.stdout
-    assert "1144" in proc.stdout
-    assert "Derivation trace:" not in proc.stdout
-
-
-def test_og6_text_trace(capsys):
-    proc = run_main(capsys, "og6", "--trace")
-    assert proc.returncode == 0, proc.stderr
-    assert "Derivation trace:" in proc.stdout
-    for tag in STAGES:
-        assert tag in proc.stdout
-
-
-def test_og6_latex_output(capsys):
-    proc = run_main(capsys, "og6", "--format", "latex", "--trace")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("\\begin{array}")
-    assert "1144" in proc.stdout
-    assert "% Betti numbers:" in proc.stdout
-    assert "% chi^0 = 4" in proc.stdout
-    assert "% Derivation trace:" in proc.stdout
-
-
 def test_og6_rejects_impossible_euler_characteristic(capsys):
     # b2 and chi are named constants of the derivation, not options, so
     # any attempt to pass them is a usage error.
@@ -131,6 +93,30 @@ def test_closed_stdout_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+def test_a_broken_pipe_returns_141_and_sends_stdout_to_the_null_device(monkeypatch, tmp_path):
+    # the in-process half of the test above, so the coverage gate sees the branch
+    out = tmp_path / "stdout"
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert cli.main(["og6"]) == 141
+        os.write(fd, b"flushed at exit")
+    finally:
+        os.close(fd)
+    assert out.read_bytes() == b""
 
 
 def test_og6_output_is_byte_deterministic():
@@ -204,15 +190,6 @@ def test_check_single_suite(capsys):
     assert "ok   " in proc.stdout
     assert "FAIL" not in proc.stdout
     assert proc.stdout.rstrip().endswith("checks passed")
-
-
-def test_check_all_suites(capsys):
-    proc = run_main(capsys, "check", "--suite", "all")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    summary = proc.stdout.rstrip().splitlines()[-1]
-    passed, total = summary.split()[0].split("/")
-    assert passed == total
-    assert int(total) >= 15
 
 
 def test_check_unknown_suite_is_a_usage_error(capsys):
@@ -402,20 +379,12 @@ def test_repeated_in_process_calls_match_golden_bytes(capsys):
         cli.main(["og6", "--b2", "8"])
     assert bad.value.code == 2
     capsys.readouterr()
-    og6_cases = [
-        (["og6"], "og6.txt"),
-        (["og6", "--trace"], "og6_trace.txt"),
-        (["og6", "--format", "json", "--trace"], "og6_json_trace.json"),
-        (["og6", "--format", "latex", "--trace"], "og6_latex_trace.tex"),
-    ]
-    cases = (og6_cases
-             + [(["hilb", "--n", "5", "--format", "json"], "hilb_n5_k3.json")]
-             + og6_cases[::-1]
-             + [(["check", "--suite", "all"], "check_all.txt")])
-    for argv, golden in cases:
-        assert cli.main(argv) == 0
+    # every golden command line, then each og6 one again after the others
+    og6 = [golden for golden in CASES if golden.startswith("og6")]
+    for golden in [*CASES, *og6[::-1]]:
+        assert cli.main(CASES[golden]) == 0
         assert capsys.readouterr().out.encode("utf-8") == \
-            (GOLDEN / golden).read_bytes(), argv
+            (GOLDEN / golden).read_bytes(), golden
 
 
 # ---------------------------------------------------------------------------

@@ -479,14 +479,6 @@ def test_salamon_residual_detects_b4_perturbation():
     assert salamon_residual(BettiVector(6, tuple(row))) == 18
 
 
-def test_salamon_residual_even_perturbations_all_detected():
-    for k in range(0, 7, 2):
-        for delta in (1, -1):
-            row = list(OG6_BETTI)
-            row[k] += delta
-            assert salamon_residual(BettiVector(6, tuple(row))) != 0
-
-
 def test_salamon_residual_rejects_an_odd_complex_dimension():
     with pytest.raises(ValueError, match="even complex dimension, got 3"):
         salamon_residual(BettiVector(3, (1, 0, 1, 0, 1, 0, 1)))
@@ -502,6 +494,11 @@ def test_solve_betti_dim6_rejects_bad_inputs():
         solve_betti_dim6(1, 8, 1921)
     with pytest.raises(ValueError):
         solve_betti_dim6(1, 8, 0)
+    # these two would otherwise solve to (217, 1472) and (243, 1438)
+    with pytest.raises(ValueError, match=re.escape("nonnegative, got (-1, 8)")):
+        solve_betti_dim6(-1, 8, 1920)
+    with pytest.raises(ValueError, match=re.escape("nonnegative, got (1, -3)")):
+        solve_betti_dim6(1, -3, 1920)
 
 
 def test_solve_betti_dim6_rejects_non_integers():
@@ -545,6 +542,13 @@ def test_complete_by_duality_conflict():
     lower = HodgeDiamond({(0, 0): 1, (2, 2): 5})
     with pytest.raises(ValueError, match="duality completion conflict"):
         complete_by_duality(lower, 2)
+
+
+def test_complete_by_duality_rejects_a_table_of_another_dimension():
+    surface = HodgeDiamond({(0, 0): 1, (1, 1): 3}, complex_dimension=2)
+    with pytest.raises(ValueError, match="cannot complete a 2-fold to a 6-fold"):
+        complete_by_duality(surface, 6)
+    assert complete_by_duality(surface, 2).h(2, 2) == 1
 
 
 def test_complete_by_duality_rejects_a_negative_dimension():

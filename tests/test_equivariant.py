@@ -212,30 +212,6 @@ def test_eq_sym_power_multi_degree_h2_split():
     assert e2.pair(2, 2) == (131, 80)
 
 
-# ---------------------------------------------------------------------------
-# exhaustive oracle agreement (single even degree)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_eq_sym_power_matches_signed_enumeration(k):
-    for a in range(9):
-        for b in range(9 - a):
-            table = {(1, 1): (a, b)}
-            expected = eq_sym_power_oracle(table, k)
-            got = eq_sym_power(EquivariantDiamond(table), k).entries
-            assert got == expected, (a, b, k)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_eq_ext_power_matches_signed_enumeration(k):
-    for a in range(9):
-        for b in range(9 - a):
-            table = {(1, 1): (a, b)}
-            expected = eq_ext_power_oracle(table, k)
-            got = eq_ext_power(EquivariantDiamond(table), k).entries
-            assert got == expected, (a, b, k)
-
-
 EVEN_DEGREES = [(0, 0), (1, 1), (2, 0), (0, 2), (2, 2), (3, 1)]
 
 

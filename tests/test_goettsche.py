@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from _oracles import (
+    chi_minus_y,
     goettsche_betti_row,
+    hilbert_chi_y,
     inverse_eta_power_coefficient,
     naive_truncated_product,
 )
@@ -530,24 +532,27 @@ def test_hard_lefschetz_at_every_n(kind):
     # Cupping with a Kaehler class injects H^{p,q} into H^{p+1,q+1} below the
     # middle degree.  Hilbert schemes of projective surfaces are Kaehler, so
     # this holds for these two surfaces; an arbitrary table need not obey it.
+    # Each diamond's chi_{-y} must also match the Ellingsrud-Goettsche-Lehn series.
+    chi_y = hilbert_chi_y(surface_diamond(kind).entries, DEFAULT_MAX_N)
     for n in range(DEFAULT_MAX_N + 1):
         d = hilbert_scheme_diamond(surface_diamond(kind), n)
         assert [(p, q) for p in range(2 * n + 1) for q in range(2 * n - p)
                 if d.h(p, q) > d.h(p + 1, q + 1)] == [], n
+        assert chi_minus_y(d.entries, 2 * n) == chi_y[n], n
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_hilb_betti_numbers_on_random_surfaces(n):
-    # The benchmark's table shapes and sizes, against the one-variable product.
+    # The benchmark's table shapes and sizes, against the one-variable Betti
+    # product and the chi_{-y} series.
     rng = random.Random(20262 + n)
     for _ in range(4):
-        q, pg, h11 = rng.randint(0, 2), rng.randint(0, 4), rng.randint(1, 50)
-        surface = HodgeDiamond({(0, 0): 1, (1, 0): q, (0, 1): q, (2, 0): pg,
-                                (1, 1): h11, (0, 2): pg, (2, 1): q, (1, 2): q,
-                                (2, 2): 1}, complex_dimension=2)
+        surface = _surface_shaped(rng, 50)
+        q, pg, h11 = surface.h(1, 0), surface.h(2, 0), surface.h(1, 1)
         d = hilbert_scheme_diamond(surface, n)
         assert list(betti(d).b) == \
             goettsche_betti_row([1, 2 * q, 2 * pg + h11, 2 * q, 1], n), surface
+        assert chi_minus_y(d.entries, 2 * n) == hilbert_chi_y(surface.entries, n)[n], surface
         assert check_diamond(d) == (), surface
 
 

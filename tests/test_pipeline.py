@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import re
 
 import pytest
@@ -340,12 +339,8 @@ def test_public_stages_and_trace_cannot_drift_apart():
                 applied.get((p, q), 0), (step.lemma, p, q)
 
 
-POINT = HodgeDiamond({(0, 0): 1})
 ROUTES = {"run_full_pipeline": run_full_pipeline,
-          "og6_via_dual_degrees": og6_via_dual_degrees,
-          "ybar_invariants": functools.partial(ybar_invariants, POINT),
-          "yhat_invariants": functools.partial(yhat_invariants, POINT),
-          "og6_diamond": functools.partial(og6_diamond, POINT)}
+          "og6_via_dual_degrees": og6_via_dual_degrees}
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
@@ -376,13 +371,17 @@ def test_pipeline_result_is_shared_per_constants():
     assert run_full_pipeline(NamedConstants()) is run_full_pipeline()
 
 
+# euler_characteristic 1921 leaves the Betti system without an integral
+# solution; 1928 solves it with b4 = 200, which the derived table contradicts
 @pytest.mark.parametrize("perturbed", [
     NamedConstants(two_torsion_count=255), NamedConstants(b2=7),
-    NamedConstants(b2=9), NamedConstants(euler_characteristic=1921)])
+    NamedConstants(b2=9), NamedConstants(euler_characteristic=1921),
+    NamedConstants(euler_characteristic=1928),
+    NamedConstants(incidence_swap_row=(1, 2, 2))])
 def test_perturbed_constants_raise_on_every_call(perturbed):
     run_full_pipeline()
     for _ in range(2):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="cross-validation"):
             run_full_pipeline(perturbed)
 
 
@@ -419,7 +418,7 @@ def test_correction_outside_the_dimension_is_a_consistency_error():
 
 @pytest.mark.parametrize("fields", [
     {"incidence_swap_row": (1, -1, 2)}, {"incidence_swap_row": (-1, 1, 2)},
-    {"two_torsion_count": -256}, {"b2": 2}, {"b2": 25},
+    {"two_torsion_count": -256}, {"b2": 2}, {"b2": 7}, {"b2": 9}, {"b2": 25},
     {"euler_characteristic": -8}], ids=str)
 @pytest.mark.parametrize("route", [run_full_pipeline, og6_via_dual_degrees],
                          ids=lambda route: route.__name__)
@@ -457,33 +456,8 @@ def test_dual_route_rejects_a_wrong_euler_characteristic():
         og6_via_dual_degrees(bad)
 
 
-def test_corrupted_torsion_count_detected():
-    with pytest.raises(ConsistencyError, match="cross-validation"):
-        run_full_pipeline(constants=NamedConstants(two_torsion_count=255))
-
-
-def test_corrupted_incidence_row_detected():
-    bad = NamedConstants(incidence_swap_row=(1, 2, 2))
-    with pytest.raises(ConsistencyError, match="cross-validation"):
-        run_full_pipeline(constants=bad)
-
-
-def test_mismatched_euler_input_rejected():
-    # 1921 leaves the Betti system without an integral solution; 1928
-    # solves it with b4 = 200, which the derived table contradicts.
-    for chi in (1921, 1928):
-        with pytest.raises(ConsistencyError, match="cross-validation"):
-            run_full_pipeline(NamedConstants(euler_characteristic=chi))
-
-
 def test_perturbed_b2_detected():
-    # 7 and 9 fail the Salamon and Euler system; 2 and 25 leave no
-    # eigenspace split of H^2.  Both routes reject all four.
-    for b2 in (2, 7, 9, 25):
-        with pytest.raises(ConsistencyError, match="cross-validation"):
-            run_full_pipeline(NamedConstants(b2=b2))
-        with pytest.raises(ConsistencyError, match="cross-validation"):
-            og6_via_dual_degrees(NamedConstants(b2=b2))
+    # 2 and 25 leave no eigenspace split of H^2, and the message says so
     for b2 in (2, 25):
         with pytest.raises(ConsistencyError, match="cross-validation.*b2"):
             og6_via_dual_degrees(NamedConstants(b2=b2))

@@ -3,8 +3,7 @@
 Run from the repository root as ``PYTHONPATH=src python
 tools/coverage_gate.py``.  It runs pytest on ``tests/`` under
 :func:`sys.settrace`, lists the package's statements with :mod:`ast` and
-prints each one that never ran, unless ``ALLOWED`` names it with a reason.  An allowed statement that runs or no
-longer exists is printed too.  Exit status: pytest's if the tests fail,
+prints each one that never ran.  Exit status: pytest's if the tests fail,
 else 1 if a statement was printed, else 0.  Child processes are not traced.
 """
 
@@ -18,14 +17,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ihshodge"
-_PIPE = ("the BrokenPipeError branch of cli.main needs a closed pipe on the real "
-         "stdout; test_closed_stdout_exits_141_quietly and CI's closed-stdout step "
-         "run it in a child process")
-# (file, first source line of the statement) -> why no in-process test runs it
-ALLOWED = {
-    ("cli.py", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"): _PIPE,
-    ("cli.py", "return 141"): _PIPE,
-}
 
 
 def statements(path: Path):
@@ -58,15 +49,11 @@ def main() -> int:
         sys.settrace(None)
     if status:
         return status
-    unused = dict(ALLOWED)
     problems = [f"{name}:{first}: no test runs {text}"
                 for filename, name in files.items()
                 for first, last, text in statements(Path(filename))
-                if ran[filename].isdisjoint(range(first, last + 1))
-                and unused.pop((name, text), None) is None]
-    problems += [f"{name}: allowed, but runs or is gone: {text}" for name, text in unused]
-    print("\n".join(problems) or f"every statement of {len(files)} files runs "
-          f"in-process, but the {len(ALLOWED)} allowed")
+                if ran[filename].isdisjoint(range(first, last + 1))]
+    print("\n".join(problems) or f"every statement of {len(files)} files runs in-process")
     return 1 if problems else 0
 
 

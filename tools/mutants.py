@@ -48,6 +48,7 @@ PACKAGE = ROOT / "src" / "ihshodge"
 TARGETS = ("diamond.py", "equivariant.py")
 REFEREE_LINE = "equivariant: forgetting commutes on "
 TIMEOUT_S = 30
+POOL_SEED, POOL_SIZE = 64001, 200  # the seed and size of the referee's old draw
 MEMORY_LIMIT = 1 << 30  # bytes of address space for one child
 
 # operator class -> its replacement; every entry is one mutant family
@@ -123,10 +124,10 @@ def _random_table(rng: random.Random) -> dict:
     return table
 
 
-def pool(seed: int = 64001, size: int = 200) -> list[tuple[int, dict, dict]]:
+def pool() -> list[tuple[int, dict, dict]]:
     """``(k, table_a, table_b)`` for each pair, drawn in the referee's old order."""
-    rng = random.Random(seed)
-    return [(2 + i % 2, _random_table(rng), _random_table(rng)) for i in range(size)]
+    rng = random.Random(POOL_SEED)
+    return [(2 + i % 2, _random_table(rng), _random_table(rng)) for i in range(POOL_SIZE)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +156,7 @@ print(json.dumps(exposed), flush=True)
 """
 
 
-def run(target: str | None, source: str | None, pairs_text: str,
-        timeout: float = TIMEOUT_S) -> dict:
+def run(target: str | None, source: str | None, pairs_text: str) -> dict:
     """Run one mutant, or the unmutated package if ``target`` is None.
 
     ``lines`` holds ``[name, ok]`` for each line of ``check --suite all``,
@@ -172,7 +172,7 @@ def run(target: str | None, source: str | None, pairs_text: str,
         try:
             child = subprocess.run([sys.executable, "-c", _CHILD], input=pairs_text,
                                    capture_output=True, text=True, cwd=tmp, env=env,
-                                   timeout=timeout)
+                                   timeout=TIMEOUT_S)
             out, outcome = child.stdout, "crash" if child.returncode else "ran"
         except subprocess.TimeoutExpired as exc:
             out, outcome = exc.stdout or "", "timeout"
@@ -297,7 +297,7 @@ def sweep(workers: int) -> dict:
     return {
         "sources": {target: hashlib.sha256((PACKAGE / target).read_bytes()).hexdigest()
                     for target in TARGETS},
-        "pool": {"seed": 64001, "pairs": len(pairs)},
+        "pool": {"seed": POOL_SEED, "pairs": len(pairs)},
         "lines": names,
         "cover": cover,
         "edge": edge_pairs(pairs, cover),

@@ -15,7 +15,7 @@ from _oracles import OG6_BETTI
 from ihshodge import checks, cli, render
 from ihshodge.diamond import ConsistencyError, HodgeDiamond
 from ihshodge.goettsche import hilbert_scheme_diamond, surface_diamond
-from ihshodge.pipeline import NamedConstants, run_full_pipeline
+from ihshodge.pipeline import NamedConstants, PipelineResult, run_full_pipeline
 from test_golden import CASES, GOLDEN
 
 
@@ -85,6 +85,18 @@ def test_og6_corrupted_constant_exits_1(monkeypatch, capsys, fields):
     assert captured.out == ""
 
 
+def test_og6_renders_the_result_of_this_call(monkeypatch, capsys):
+    assert cli.main(["og6", "--trace"]) == 0  # stores the rendered report
+    full = capsys.readouterr().out
+    real = run_full_pipeline()
+    shorter = PipelineResult(real.diamond, real.betti_numbers, real.chern, real.trace[:-1])
+    monkeypatch.setattr(cli, "run_full_pipeline", lambda: shorter)
+    assert cli.main(["og6", "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [line for line in full.splitlines() if not line.startswith("  thm:main:")]
+    assert len(lines) == len(full.splitlines()) - 1
+
+
 def test_closed_stdout_exits_141_quietly():
     proc = subprocess.Popen([sys.executable, "-m", "ihshodge", "og6"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -110,9 +122,19 @@ def test_a_broken_pipe_returns_141_and_sends_stdout_to_the_null_device(monkeypat
         def fileno(self):
             return fd
 
+    opened, os_open = [], os.open
+
+    def recording_open(*args, **kwargs):
+        opened.append(os_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(os, "open", recording_open)
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     try:
         assert cli.main(["og6"]) == 141
+        assert len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])  # the null device's own descriptor is closed
         os.write(fd, b"flushed at exit")
     finally:
         os.close(fd)

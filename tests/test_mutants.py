@@ -76,8 +76,17 @@ def test_referee_tables_span_the_edge_cases():
     assert set().union(*(mutants.edge_features(*pair) for pair in checks._REFEREE)) >= pool
 
 
+def _record() -> dict:
+    return json.loads((TOOL.parents[1] / "MUTANTS.json").read_text(encoding="utf-8"))
+
+
+def test_the_record_is_of_todays_sources():
+    assert _record()["sources"] == mutants.source_hashes(), \
+        "rerun `python tools/mutants.py --out MUTANTS.json`"
+
+
 def test_the_referee_tables_are_the_recorded_choice():
-    record = json.loads((TOOL.parents[1] / "MUTANTS.json").read_text(encoding="utf-8"))
+    record = _record()
     pool = mutants.pool()
     assert list(checks._REFEREE) == [pool[i] for i in sorted(record["cover"] + record["edge"])]
 

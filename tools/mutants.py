@@ -295,14 +295,19 @@ def sweep(workers: int) -> dict:
         })
     cover = two_cover([set(result["exposed"]) for result in results if result["exposed"]])
     return {
-        "sources": {target: hashlib.sha256((PACKAGE / target).read_bytes()).hexdigest()
-                    for target in TARGETS},
+        "sources": source_hashes(),
         "pool": {"seed": POOL_SEED, "pairs": len(pairs)},
         "lines": names,
         "cover": cover,
         "edge": edge_pairs(pairs, cover),
         "mutants": record,
     }
+
+
+def source_hashes() -> dict[str, str]:
+    """SHA-256 of each mutated file, as the record stores it under ``sources``."""
+    return {target: hashlib.sha256((PACKAGE / target).read_bytes()).hexdigest()
+            for target in TARGETS}
 
 
 def summary(record: dict) -> list[str]:

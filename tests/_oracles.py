@@ -1,11 +1,11 @@
 """Reference values and brute-force oracles, independent of the package.
 
-OG6's Hodge numbers, Betti row and derivation stages are written here
-once, as the paper states them.  Everything else enumerates explicit
-monomials in explicit basis vectors, so it is exponentially slower than
-the closed-form package code but trivially correct.  The test modules
-compare the two.  ``random_eq_entries`` draws the seeded eigenspace
-tables that several test modules share.
+OG6's Hodge numbers and Betti row are written here once, as the paper
+states them; the golden files pin the derivation stages.  Everything
+else enumerates explicit monomials in explicit basis vectors, so it is
+exponentially slower than the closed-form package code but trivially
+correct.  The test modules compare the two.  ``random_eq_entries``
+draws the seeded eigenspace tables that several test modules share.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ OG6_ENTRIES = {
     (6, 6): 1,
 }
 OG6_BETTI = (1, 0, 8, 0, 199, 0, 1504, 0, 199, 0, 8, 0, 1)
-STAGES = ("4fin", "3fin", "X-and-Y", "Kt-and-Ktt(2)", "Kt-and-Ktt(1)", "thm:main")
 
 
 def _signed_basis(entries: dict[Bidegree, tuple[int, int]]

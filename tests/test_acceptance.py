@@ -23,6 +23,7 @@ from ihshodge.diamond import (
     HodgeDiamond,
     betti,
     check_diamond,
+    direct_sum,
     euler_characteristic,
     ext_power,
     salamon_residual,
@@ -84,6 +85,7 @@ def test_criterion_04_invariant_rows():
         (1, 5): 5, (0, 6): 1,
     }
     assert weight_sums(inv) == {0: 1, 2: 7, 4: 171, 6: 1178}
+    assert weight_sums(forget(total)) == {0: 1, 2: 23, 4: 299, 6: 2554}
 
 
 def test_criterion_05_oracle_triangle_on_k3_hilb3():
@@ -98,6 +100,7 @@ def test_criterion_05_oracle_triangle_on_k3_hilb3():
 
 def test_criterion_06_salamon_constraint():
     assert salamon_residual(BettiVector(6, OG6_BETTI)) == 0
+    assert salamon_residual(BettiVector(2, (1, 0, 22, 0, 1))) == 0
     assert salamon_residual(BettiVector(4, (1, 0, 23, 0, 276, 0, 23, 0, 1))) == 0
     assert salamon_residual(BettiVector(
         6, (1, 0, 23, 0, 299, 0, 2554, 0, 299, 0, 23, 0, 1))) == 0
@@ -118,6 +121,7 @@ def test_criterion_07_forget_commutes_on_200_random_tables():
         assert forget(eq_sym_power(a, k)) == sym_power(forget(a), k)
         assert forget(eq_ext_power(a, k)) == ext_power(forget(a), k)
         assert forget(eq_tensor(a, b)) == tensor(forget(a), forget(b))
+        assert forget(eq_sum(a, b)) == direct_sum(forget(a), forget(b))
 
 
 def test_criterion_08_plethysm_matches_signed_enumeration():

@@ -23,7 +23,7 @@ and byte deterministic for a fixed command line; diagnostics go to
 stderr.
 
 The CLI renders each ``og6`` report once per derivation result and
-output format.
+output format, and parses each command line once per process.
 """
 
 from __future__ import annotations
@@ -68,6 +68,15 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--suite", choices=("all", *SUITE_NAMES),
                        default="all")
     return parser
+
+
+@functools.lru_cache(maxsize=32)
+def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
+    """The parse of one command line, shared by its calls: nothing writes to it.
+
+    A usage error or ``--help`` exits inside the call, so it is never stored.
+    """
+    return _build_parser().parse_args(argv)
 
 
 def _text_report(title: str, diamond: HodgeDiamond, betti_numbers: BettiVector) -> str:
@@ -145,7 +154,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(tuple(sys.argv[1:] if argv is None else argv))
     try:
         run = {"og6": _cmd_og6, "hilb": _cmd_hilb, "check": _cmd_check}[args.command]
         status = run(args)

@@ -388,7 +388,8 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser and one derivation shared by every call in a process
+# one parser, one parse of each command line and one derivation shared by
+# every call in a process
 
 
 def test_repeated_in_process_calls_match_golden_bytes(capsys):
@@ -403,6 +404,45 @@ def test_repeated_in_process_calls_match_golden_bytes(capsys):
         assert cli.main(CASES[golden]) == 0
         assert capsys.readouterr().out.encode("utf-8") == \
             (GOLDEN / golden).read_bytes(), golden
+
+
+def test_a_usage_error_prints_on_every_call(capsys):
+    # a failed parse exits inside the memo, so nothing is stored for it
+    first, second = (run_main(capsys, "og6", "--format", "yaml") for _ in range(2))
+    for proc in (first, second):
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: ihshodge og6 ")
+        assert "error: argument --format: invalid choice: 'yaml'" in proc.stderr
+        assert proc.stdout == ""
+    assert first.stderr == second.stderr
+
+
+def test_help_prints_on_every_call(capsys):
+    first, second = (run_main(capsys, "og6", "--help") for _ in range(2))
+    for proc in (first, second):
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: ihshodge og6 ")
+        assert "include the stage-by-stage audit trail" in proc.stdout
+        assert proc.stderr == ""
+    assert first.stdout == second.stdout
+
+
+def test_main_without_argv_parses_the_sys_argv_of_each_call(monkeypatch, capsys):
+    for golden in ("og6.txt", "hilb_n3_k3.txt"):
+        monkeypatch.setattr(sys, "argv", ["ihshodge", *CASES[golden]])
+        assert cli.main() == 0
+        assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def test_the_parse_memo_is_bounded(capsys):
+    # "02", "002", ...: distinct command lines that all mean n = 2
+    size = cli._parse.cache_info().maxsize
+    outputs = set()
+    for zeros in range(1, size + 4):
+        assert cli.main(["hilb", "--n", "0" * zeros + "2"]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+    assert cli._parse.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@ Three subcommands:
   slice (digit width times cells) exceeds
   :data:`~ihshodge.goettsche.MAX_PACKED_BITS` = 2^20 bits; K3^[30]
   packs 133,992 and abelian^[30] 238,144.
-* ``check``: run a named invariant suite and report each check, as
-  ``ok   <name>``, ``FAIL <name>: got <computed!r>, expected
-  <expected!r>`` or, when computing the value raised, ``FAIL <name>:
-  raised <Type>: <message>``; then ``k/m checks passed``.
+* ``check``: run a named invariant suite and report each check in the
+  line format of :mod:`ihshodge.render`.
 
 Exit codes: 0 on success, 1 when an internal invariant is violated
 (including failing checks), 2 on bad input, 141 when the reader of
@@ -30,22 +28,24 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 from .checks import SUITE_NAMES, run_suite
-from .diamond import BettiVector, ConsistencyError, HodgeDiamond, betti, euler_characteristic
+from .diamond import ConsistencyError
 from .goettsche import hilbert_scheme_diamond, surface_diamond
 from .pipeline import PipelineResult, run_full_pipeline
-from .render import betti_text, chern_text, diamond_latex, diamond_text, trace_text
+from .render import check_report, hilb_report, og6_report
 
 __all__ = ["main"]
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and reused by :func:`main`."""
+@functools.lru_cache(maxsize=32)
+def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
+    """The parse of one command line, shared by its calls: nothing writes to it.
+
+    A usage error or ``--help`` exits inside the call, so it is never stored.
+    """
     parser = argparse.ArgumentParser(
         prog="ihshodge",
         description="Exact Hodge diamonds of hyperkaehler manifolds.")
@@ -67,47 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run an invariant suite")
     check.add_argument("--suite", choices=("all", *SUITE_NAMES),
                        default="all")
-    return parser
-
-
-@functools.lru_cache(maxsize=32)
-def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
-    """The parse of one command line, shared by its calls: nothing writes to it.
-
-    A usage error or ``--help`` exits inside the call, so it is never stored.
-    """
-    return _build_parser().parse_args(argv)
-
-
-def _text_report(title: str, diamond: HodgeDiamond, betti_numbers: BettiVector) -> str:
-    """The text report both diamond commands share, up to the Euler line."""
-    return (f"{title}\n{diamond_text(diamond)}\n\n{betti_text(betti_numbers)}\n"
-            f"Euler characteristic: {euler_characteristic(diamond)}")
-
-
-def _og6_report(result: PipelineResult, fmt: str, trace: bool) -> str:
-    """The whole ``og6`` stdout for ``result`` in ``fmt``, less its final newline."""
-    if fmt == "json":
-        payload = {
-            "diamond": result.diamond.to_json_dict(),
-            "betti": {"n": result.betti_numbers.n,
-                      "b": list(result.betti_numbers.b)},
-            "chern": result.chern.to_json_dict(),
-        }
-        if trace:
-            payload["trace"] = [step.to_json_dict() for step in result.trace]
-        return json.dumps(payload, sort_keys=True)
-    if fmt == "latex":
-        notes = [betti_text(result.betti_numbers), chern_text(result.chern)]
-        if trace:
-            notes.append(trace_text(result.trace))
-        return "\n".join([diamond_latex(result.diamond),
-                          *(f"% {line}" for line in "\n".join(notes).splitlines())])
-    parts = [_text_report("OG6 Hodge diamond (complex dimension 6):", result.diamond,
-                          result.betti_numbers), chern_text(result.chern)]
-    if trace:
-        parts += ["", trace_text(result.trace)]
-    return "\n".join(parts)
+    return parser.parse_args(argv)
 
 
 # (format, trace) -> (result, report): the og6 report last rendered, and the
@@ -121,7 +81,7 @@ def _cmd_og6(args: argparse.Namespace) -> int:
     key = (args.format, args.trace)
     rendered_from, report = _og6_reports.get(key, (None, ""))
     if rendered_from is not result:
-        report = _og6_report(result, *key)
+        report = og6_report(result, *key)
         _og6_reports[key] = (result, report)
     print(report)
     return 0
@@ -129,28 +89,14 @@ def _cmd_og6(args: argparse.Namespace) -> int:
 
 def _cmd_hilb(args: argparse.Namespace) -> int:
     diamond = hilbert_scheme_diamond(surface_diamond(args.surface), args.n)
-    if args.format == "json":
-        print(json.dumps(diamond.to_json_dict(), sort_keys=True))
-        return 0
-    if args.format == "latex":
-        print(diamond_latex(diamond))
-        return 0
-    print(_text_report(f"{args.surface}^[{args.n}] Hodge diamond "
-                       f"(complex dimension {diamond.complex_dimension}):",
-                       diamond, betti(diamond)))
+    print(hilb_report(args.surface, args.n, diamond, args.format))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     results = run_suite(args.suite)
-    failed = [r for r in results if not r.ok]
-    for result in results:
-        if result.ok:
-            print(f"ok   {result.name}")
-        else:
-            print(f"FAIL {result.name}: {result.detail}")
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
+    print(check_report(results))
+    return 0 if all(result.ok for result in results) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

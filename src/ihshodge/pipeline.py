@@ -73,9 +73,7 @@ from .equivariant import (
 )
 
 __all__ = [
-    "ChernReport",
     "NamedConstants",
-    "TraceStep",
     "chern_numbers",
     "derive_invariant_h2",
     "markman_assembly",
@@ -150,21 +148,11 @@ class ChernReport(_Record):
 
     __slots__ = ("chi0", "chi1", "chi2", "c2_cubed", "c2_c4", "c6")
 
-    def to_json_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._fields()))
-
 
 class TraceStep(_Record):
     """One derivation stage: its tag, output and corrections."""
 
     __slots__ = ("lemma", "output", "corrections")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "output": self.output.to_json_dict(),
-            "corrections": [list(c) for c in self.corrections],
-        }
 
 
 class PipelineResult(_Record):

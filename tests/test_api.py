@@ -148,8 +148,10 @@ def _exported() -> dict:
             if ((inspect.isfunction(obj) or inspect.isclass(obj))
                     and obj.__module__.startswith("ihshodge.")):
                 found[f"{obj.__module__}.{obj.__qualname__}"] = obj
-    # run_suite and run_full_pipeline return these, though no caller imports them
-    for module, name in (("checks", "CheckResult"), ("pipeline", "PipelineResult")):
+    # run_suite, run_full_pipeline and chern_numbers return these, and a
+    # PipelineResult holds the last two, though no caller imports them
+    for module, name in (("checks", "CheckResult"), ("pipeline", "PipelineResult"),
+                         ("pipeline", "ChernReport"), ("pipeline", "TraceStep")):
         obj = getattr(importlib.import_module(f"ihshodge.{module}"), name)
         found[f"{obj.__module__}.{obj.__qualname__}"] = obj
     del found["ihshodge.cli.main"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -169,7 +170,7 @@ def test_hilb_latex_output(capsys):
     assert cli.main(["hilb", "--n", "2", "--format", "latex"]) == 0
     diamond = hilbert_scheme_diamond(surface_diamond("k3"), 2)
     out = capsys.readouterr().out
-    assert out == render.diamond_latex(diamond) + "\n"
+    assert out == render.hilb_report("k3", 2, diamond, "latex") + "\n"
     assert out.startswith("\\begin{array}")
     assert "232" in out
 
@@ -388,12 +389,11 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser, one parse of each command line and one derivation shared by
-# every call in a process
+# one parse of each command line and one derivation shared by every call
+# in a process
 
 
 def test_repeated_in_process_calls_match_golden_bytes(capsys):
-    assert cli._build_parser() is cli._build_parser()
     with pytest.raises(SystemExit) as bad:
         cli.main(["og6", "--b2", "8"])
     assert bad.value.code == 2
@@ -446,23 +446,20 @@ def test_the_parse_memo_is_bounded(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the render functions take only the value they render
+# each report takes only the values it reports
 
 
-RENDERERS = {"diamond_text": "HodgeDiamond", "diamond_latex": "HodgeDiamond",
-             "betti_text": "BettiVector", "chern_text": "ChernReport",
-             "trace_text": "tuple"}
-
-
-@pytest.mark.parametrize("name", RENDERERS)
-@pytest.mark.parametrize("value", [None, "x", 5], ids=repr)
-def test_render_functions_reject_other_types(name, value):
-    with pytest.raises(ValueError, match=f"expected a {RENDERERS[name]}, got"):
-        getattr(render, name)(value)
-
-
-@pytest.mark.parametrize("name", ["diamond_text", "diamond_latex"])
-def test_diamond_renderers_need_a_dimension(name):
-    message = f"^{name} needs a diamond with a complex dimension$"
+def test_each_report_rejects_a_value_of_another_type():
+    passed = checks.CheckResult("name", True, "")
+    for value in (None, "x", 5):
+        for expected, report, args in (
+                ("PipelineResult", render.og6_report, (value, "text", False)),
+                ("HodgeDiamond", render.hilb_report, ("k3", 2, value, "text")),
+                ("list", render.check_report, (value,)),
+                ("CheckResult", render.check_report, ([passed, value],))):
+            message = re.escape(f"expected a {expected}, got {value!r}")
+            with pytest.raises(ValueError, match=message):
+                report(*args)
+    message = "^hilb_report needs a diamond with a complex dimension$"
     with pytest.raises(ValueError, match=message):
-        getattr(render, name)(HodgeDiamond({(0, 0): 1}))
+        render.hilb_report("k3", 2, HodgeDiamond({(0, 0): 1}), "text")

@@ -7,6 +7,10 @@ The ``check`` report has one line per check, ``ok   <name>``, ``FAIL
 <name>: got <computed!r>, expected <expected!r>`` or, when computing the
 value raised, ``FAIL <name>: raised <Type>: <message>``; then ``k/m
 checks passed``.
+
+The pieces the reports are built from, ``diamond_text``, ``diamond_latex``,
+``betti_text``, ``chern_text`` and ``trace_text``, are not exported, and
+each still refuses a value of another type.
 """
 
 from __future__ import annotations
@@ -28,9 +32,23 @@ def _weight_cells(d: HodgeDiamond, weight: int) -> list[tuple[int, int]]:
     return [(p, weight - p) for p in range(top, bottom - 1, -1)]
 
 
-def _diamond_latex(d: HodgeDiamond) -> str:
+def diamond_text(d: HodgeDiamond) -> str:
+    """Centered triangle of the h^{p,q}, one cohomological weight per row."""
+    n = _dimension(d, "diamond_text")
+    width = max((len(str(v)) for v in d._entries.values()), default=1)
+    unit = width + 2
+    lines = []
+    for weight in range(2 * n + 1):
+        cells = _weight_cells(d, weight)
+        pad = " " * ((2 * n + 1 - len(cells)) * unit // 2)
+        row = "  ".join(str(d.h(p, q)).rjust(width) for p, q in cells)
+        lines.append((pad + row).rstrip())
+    return "\n".join(lines)
+
+
+def diamond_latex(d: HodgeDiamond) -> str:
     """Triangular array of the nonzero H^{p,q}, one weight per row."""
-    n = d.complex_dimension
+    n = _dimension(d, "diamond_latex")
     columns = 2 * n + 1
     lines = [r"\begin{array}{" + "c" * columns + "}"]
     for weight in range(2 * n + 1):
@@ -47,17 +65,25 @@ def _diamond_latex(d: HodgeDiamond) -> str:
     return "\n".join(lines)
 
 
-def _betti_text(b: BettiVector) -> str:
+def betti_text(b: BettiVector) -> str:
+    if not isinstance(b, BettiVector):
+        raise _wrong_type(BettiVector, b)
     return "Betti numbers: " + " ".join(str(v) for v in b.b)
 
 
-def _chern_text(c: ChernReport) -> str:
+def chern_text(c: ChernReport) -> str:
+    if not isinstance(c, ChernReport):
+        raise _wrong_type(ChernReport, c)
     return (f"chi^0 = {c.chi0}, chi^1 = {c.chi1}, chi^2 = {c.chi2}\n"
             f"c2^3 = {c.c2_cubed}, c2*c4 = {c.c2_c4}, c6 = {c.c6}")
 
 
-def _trace_text(trace: tuple[TraceStep, ...]) -> str:
+def trace_text(trace: tuple[TraceStep, ...]) -> str:
     """One line per stage: tag, weight sums of the output, corrections."""
+    if not isinstance(trace, tuple):
+        raise _wrong_type(tuple, trace)
+    if not all(isinstance(step, TraceStep) for step in trace):
+        raise _wrong_type(TraceStep, *trace)
     lines = ["Derivation trace:"]
     for step in trace:
         sums = weight_sums(step.output)
@@ -72,17 +98,8 @@ def _trace_text(trace: tuple[TraceStep, ...]) -> str:
 
 
 def _text_report(title: str, d: HodgeDiamond, betti_numbers: BettiVector) -> str:
-    """Title, centered h^{p,q} triangle (one weight per row), Betti and Euler lines."""
-    n = d.complex_dimension
-    width = max((len(str(v)) for v in d._entries.values()), default=1)
-    unit = width + 2
-    lines = [title]
-    for weight in range(2 * n + 1):
-        cells = _weight_cells(d, weight)
-        pad = " " * ((2 * n + 1 - len(cells)) * unit // 2)
-        row = "  ".join(str(d.h(p, q)).rjust(width) for p, q in cells)
-        lines.append((pad + row).rstrip())
-    return "\n".join([*lines, "", _betti_text(betti_numbers),
+    """Title, centered h^{p,q} triangle, Betti and Euler lines."""
+    return "\n".join([title, diamond_text(d), "", betti_text(betti_numbers),
                       f"Euler characteristic: {euler_characteristic(d)}"])
 
 
@@ -101,15 +118,15 @@ def og6_report(result: PipelineResult, fmt: str, trace: bool) -> str:
                                  "corrections": step.corrections} for step in result.trace]
         return json.dumps(payload, sort_keys=True)
     if fmt == "latex":
-        notes = [_betti_text(result.betti_numbers), _chern_text(result.chern)]
+        notes = [betti_text(result.betti_numbers), chern_text(result.chern)]
         if trace:
-            notes.append(_trace_text(result.trace))
-        return "\n".join([_diamond_latex(result.diamond),
+            notes.append(trace_text(result.trace))
+        return "\n".join([diamond_latex(result.diamond),
                           *(f"% {line}" for line in "\n".join(notes).splitlines())])
     parts = [_text_report("OG6 Hodge diamond (complex dimension 6):", result.diamond,
-                          result.betti_numbers), _chern_text(result.chern)]
+                          result.betti_numbers), chern_text(result.chern)]
     if trace:
-        parts += ["", _trace_text(result.trace)]
+        parts += ["", trace_text(result.trace)]
     return "\n".join(parts)
 
 
@@ -119,7 +136,7 @@ def hilb_report(surface: str, n: int, diamond: HodgeDiamond, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(diamond.to_json_dict(), sort_keys=True)
     if fmt == "latex":
-        return _diamond_latex(diamond)
+        return diamond_latex(diamond)
     return _text_report(f"{surface}^[{n}] Hodge diamond (complex dimension {dim}):",
                         diamond, betti(diamond))
 

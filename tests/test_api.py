@@ -154,6 +154,11 @@ def _exported() -> dict:
                          ("pipeline", "ChernReport"), ("pipeline", "TraceStep")):
         obj = getattr(importlib.import_module(f"ihshodge.{module}"), name)
         found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    # the pieces of the reports, which render does not export but which
+    # check their own values
+    for name in ("betti_text", "chern_text", "diamond_latex", "diamond_text", "trace_text"):
+        obj = getattr(importlib.import_module("ihshodge.render"), name)
+        found[f"{obj.__module__}.{obj.__qualname__}"] = obj
     del found["ihshodge.cli.main"]
     return found
 

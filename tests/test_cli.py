@@ -446,7 +446,26 @@ def test_the_parse_memo_is_bounded(capsys):
 
 
 # ---------------------------------------------------------------------------
-# each report takes only the values it reports
+# the render functions take only the value they render
+
+
+RENDERERS = {"diamond_text": "HodgeDiamond", "diamond_latex": "HodgeDiamond",
+             "betti_text": "BettiVector", "chern_text": "ChernReport",
+             "trace_text": "tuple"}
+
+
+@pytest.mark.parametrize("name", RENDERERS)
+@pytest.mark.parametrize("value", [None, "x", 5], ids=repr)
+def test_render_functions_reject_other_types(name, value):
+    with pytest.raises(ValueError, match=f"expected a {RENDERERS[name]}, got"):
+        getattr(render, name)(value)
+
+
+@pytest.mark.parametrize("name", ["diamond_text", "diamond_latex"])
+def test_diamond_renderers_need_a_dimension(name):
+    message = f"^{name} needs a diamond with a complex dimension$"
+    with pytest.raises(ValueError, match=message):
+        getattr(render, name)(HodgeDiamond({(0, 0): 1}))
 
 
 def test_each_report_rejects_a_value_of_another_type():

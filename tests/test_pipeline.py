@@ -168,7 +168,20 @@ def test_markman_equivariant_validation():
 
 
 # ---------------------------------------------------------------------------
-# stage inputs
+# stage-by-stage entries
+
+
+def test_stage_chain_entry_by_entry():
+    # the public stages, chained from a 4fin table built from public operations,
+    # give the derivation's own trace; the golden trace files pin its values
+    outputs = {step.lemma: step.output for step in run_full_pipeline().trace}
+    y_inv = stage_4fin_invariants()
+    assert y_inv == outputs["4fin"]
+    ybar = ybar_invariants(y_inv)
+    assert ybar == outputs["3fin"]
+    yhat = yhat_invariants(ybar)
+    assert yhat == outputs["X-and-Y"] == outputs["Kt-and-Ktt(2)"]
+    assert og6_diamond(yhat) == outputs["thm:main"]
 
 
 def test_og6_diamond_rejects_undersized_tables():
@@ -212,17 +225,12 @@ PUBLIC_STAGES = {"3fin": ybar_invariants, "X-and-Y": yhat_invariants,
 
 
 def test_public_stages_and_trace_cannot_drift_apart():
-    # 4fin is the table public operations build, and each public stage maps the
-    # trace's previous output to its own; the golden trace files pin the values
     steps = run_full_pipeline().trace
     final = steps[-1].output
-    assert steps[0].output == stage_4fin_invariants()
     assert steps[0].corrections == ()
     for before, step in zip(steps, steps[1:]):
         if step.lemma not in PUBLIC_STAGES:
             assert step.corrections == ()
-            if step.lemma == "Kt-and-Ktt(2)":
-                assert step.output == before.output
             continue
         expected = step.output
         if step.lemma == "Kt-and-Ktt(1)":
